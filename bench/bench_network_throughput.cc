@@ -2,9 +2,8 @@
 // concurrent loopback connections against the epoll wire server, replaying
 // queries whose answers were first computed in-process — every networked
 // response is differentially checked (bit-identical found/answer/objective)
-// against IflsService. Runs the identical load twice, with socket-layer
-// batch coalescing on and off, so the report quantifies what the batching
-// path buys at the same concurrency.
+// against IflsService. Every query passes through the service's admission
+// queue, sized here so the offered load is never shed.
 //
 // Writes BENCH_network_throughput.json (shared schema, src/benchlib).
 // Scale via IFLS_BENCH_SCALE=smoke|default|full.
@@ -35,7 +34,6 @@ struct BenchConfig {
   std::size_t clients_per_query = 32;
   std::size_t distinct_queries = 24;  // expectation pool size
   int service_workers = 4;
-  int dispatchers = 4;
 };
 
 BenchConfig ConfigForScale(const BenchScale& scale) {
@@ -49,13 +47,6 @@ BenchConfig ConfigForScale(const BenchScale& scale) {
   }
   return cfg;
 }
-
-struct ConfigRun {
-  std::string label;
-  bool coalesce = false;
-  LoadGenReport report;
-  ServerMetrics server;
-};
 
 int Main() {
   const BenchScale scale = BenchScale::FromEnv();
@@ -77,15 +68,16 @@ int Main() {
 
   ServiceOptions service_options;
   service_options.num_workers = cfg.service_workers;
-  service_options.queue_capacity = 4096;
+  service_options.queue_capacity =
+      cfg.num_connections * (static_cast<std::size_t>(cfg.pipeline_depth) + 1);
   Result<std::unique_ptr<IflsService>> built = IflsService::Create(
       std::move(*venue), sets->existing, sets->candidates, service_options);
   IFLS_CHECK(built.ok()) << built.status().ToString();
   std::shared_ptr<IflsService> service = std::move(*built);
 
   // Ground truth: a pool of distinct queries answered in-process first. The
-  // load generator staggers connections across this pool so a coalesced
-  // batch mixes objectives and client sets.
+  // load generator staggers connections across this pool so concurrent
+  // queries mix objectives and client sets.
   const IflsObjective objectives[3] = {IflsObjective::kMinMax,
                                        IflsObjective::kMinDist,
                                        IflsObjective::kMaxSum};
@@ -110,45 +102,27 @@ int Main() {
     expectations.push_back(std::move(exp));
   }
 
-  std::vector<ConfigRun> runs;
-  for (bool coalesce : {true, false}) {
-    ServerOptions server_options;
-    server_options.coalesce_batches = coalesce;
-    server_options.num_dispatchers = cfg.dispatchers;
-    server_options.dispatch_queue_capacity =
-        cfg.num_connections * (static_cast<std::size_t>(cfg.pipeline_depth) + 1);
-    Result<std::unique_ptr<IflsServer>> server =
-        IflsServer::Create(service, server_options);
-    IFLS_CHECK(server.ok()) << server.status().ToString();
+  Result<std::unique_ptr<IflsServer>> server = IflsServer::Create(service);
+  IFLS_CHECK(server.ok()) << server.status().ToString();
 
-    LoadGenOptions load;
-    load.port = (*server)->port();
-    load.num_connections = cfg.num_connections;
-    load.num_threads = cfg.load_threads;
-    load.pipeline_depth = cfg.pipeline_depth;
-    load.queries_per_connection = cfg.queries_per_connection;
-    Result<LoadGenReport> report = RunNetworkLoad(load, expectations);
-    IFLS_CHECK(report.ok()) << report.status().ToString();
-
-    ConfigRun run;
-    run.label = coalesce ? "coalesce_on" : "coalesce_off";
-    run.coalesce = coalesce;
-    run.report = *report;
-    run.server = (*server)->Metrics();
-    (*server)->Stop();
-    std::cerr << "[network] " << run.label << ": " << run.report.completed
-              << " ok / " << run.report.errors << " err / "
-              << run.report.mismatches << " mismatch across "
-              << run.report.connections << " conns in "
-              << run.report.wall_seconds << "s  (" << run.report.qps
-              << " qps, p50 " << run.report.p50_seconds * 1e3 << "ms, p99 "
-              << run.report.p99_seconds * 1e3 << "ms, p999 "
-              << run.report.p999_seconds * 1e3 << "ms; batches "
-              << run.server.batches << ", batched queries "
-              << run.server.batched_queries << ")\n";
-    runs.push_back(std::move(run));
-  }
+  LoadGenOptions load;
+  load.port = (*server)->port();
+  load.num_connections = cfg.num_connections;
+  load.num_threads = cfg.load_threads;
+  load.pipeline_depth = cfg.pipeline_depth;
+  load.queries_per_connection = cfg.queries_per_connection;
+  Result<LoadGenReport> loaded = RunNetworkLoad(load, expectations);
+  IFLS_CHECK(loaded.ok()) << loaded.status().ToString();
+  const LoadGenReport& report = *loaded;
+  const ServerMetrics server_metrics = (*server)->Metrics();
+  (*server)->Stop();
   service->Stop();
+  std::cerr << "[network] " << report.completed << " ok / " << report.errors
+            << " err / " << report.mismatches << " mismatch across "
+            << report.connections << " conns in " << report.wall_seconds
+            << "s  (" << report.qps << " qps, p50 " << report.p50_seconds * 1e3
+            << "ms, p99 " << report.p99_seconds * 1e3 << "ms, p999 "
+            << report.p999_seconds * 1e3 << "ms)\n";
 
   const Status written = WriteBenchReport("network_throughput", [&](
                                               JsonWriter& w) {
@@ -161,47 +135,34 @@ int Main() {
     w.Field("queries_per_connection", cfg.queries_per_connection);
     w.Field("clients_per_query", cfg.clients_per_query);
     w.Field("service_workers", cfg.service_workers);
-    w.Key("configs");
-    w.BeginArray();
-    for (const ConfigRun& run : runs) {
-      w.BeginObject();
-      w.Field("label", run.label);
-      w.Field("coalesce_batches", run.coalesce);
-      w.Field("completed", run.report.completed);
-      w.Field("errors", run.report.errors);
-      w.Field("mismatches", run.report.mismatches);
-      w.Field("wall_seconds", run.report.wall_seconds);
-      w.Field("throughput_qps", run.report.qps);
-      w.Field("latency_p50_seconds", run.report.p50_seconds);
-      w.Field("latency_p99_seconds", run.report.p99_seconds);
-      w.Field("latency_p999_seconds", run.report.p999_seconds);
-      w.Field("server_frames_received", run.server.frames_received);
-      w.Field("server_batches", run.server.batches);
-      w.Field("server_batched_queries", run.server.batched_queries);
-      w.Field("server_rejected", run.server.rejected);
-      w.EndObject();
-    }
-    w.EndArray();
+    w.Field("completed", report.completed);
+    w.Field("errors", report.errors);
+    w.Field("mismatches", report.mismatches);
+    w.Field("wall_seconds", report.wall_seconds);
+    w.Field("throughput_qps", report.qps);
+    w.Field("latency_p50_seconds", report.p50_seconds);
+    w.Field("latency_p99_seconds", report.p99_seconds);
+    w.Field("latency_p999_seconds", report.p999_seconds);
+    w.Field("server_frames_received", server_metrics.frames_received);
+    w.Field("server_rejected", server_metrics.rejected);
   });
   IFLS_CHECK(written.ok()) << written.ToString();
   std::cerr << "[network] wrote " << BenchReportPath("network_throughput")
             << "\n";
 
   int rc = 0;
-  for (const ConfigRun& run : runs) {
-    if (run.report.mismatches != 0) {
-      std::cerr << "[network] FAILURE: " << run.label << " had "
-                << run.report.mismatches << " differential mismatches\n";
-      rc = 1;
-    }
-    const std::uint64_t expected_total =
-        cfg.num_connections * cfg.queries_per_connection;
-    if (run.report.completed + run.report.errors != expected_total) {
-      std::cerr << "[network] FAILURE: " << run.label << " accounted for "
-                << (run.report.completed + run.report.errors) << " of "
-                << expected_total << " queries\n";
-      rc = 1;
-    }
+  if (report.mismatches != 0) {
+    std::cerr << "[network] FAILURE: " << report.mismatches
+              << " differential mismatches\n";
+    rc = 1;
+  }
+  const std::uint64_t expected_total =
+      cfg.num_connections * cfg.queries_per_connection;
+  if (report.completed + report.errors != expected_total) {
+    std::cerr << "[network] FAILURE: accounted for "
+              << (report.completed + report.errors) << " of "
+              << expected_total << " queries\n";
+    rc = 1;
   }
   return rc;
 }

@@ -344,9 +344,6 @@ int Main() {
   // ---------------------------------------------------- networked phase
   // End-to-end over the wire server: RPC spans, the trace-context frame
   // extension, server-side adoption and the cost ledger all in the loop.
-  // Coalescing is off — per-query context adoption lives on the admission
-  // path, the same configuration `ifls_cli serve --no-coalesce` documents
-  // for merged traces.
   std::printf("\n# networked: propagation + ledger over the wire server\n\n");
   Result<Venue> net_venue = BuildPresetVenue(VenuePreset::kMelbourneCentral);
   IFLS_CHECK(net_venue.ok()) << net_venue.status().ToString();
@@ -388,12 +385,8 @@ int Main() {
     pool.push_back(std::move(entry));
   }
 
-  ServerOptions net_server_options;
-  net_server_options.coalesce_batches = false;
-  net_server_options.num_dispatchers = 2;
-  net_server_options.dispatch_queue_capacity = 4096;
   Result<std::unique_ptr<IflsServer>> net_server =
-      IflsServer::Create(net_service, net_server_options);
+      IflsServer::Create(net_service);
   IFLS_CHECK(net_server.ok()) << net_server.status().ToString();
 
   const int net_threads = 4;

@@ -226,8 +226,8 @@ Result<LoadGenReport> RunNetworkLoad(
     IFLS_ASSIGN_OR_RETURN(OwnedFd fd, ConnectTcp(options.port));
     ConnState conn;
     conn.fd = std::move(fd);
-    // Stagger each connection's starting expectation so one coalesced batch
-    // mixes objectives and client sets.
+    // Stagger each connection's starting expectation so concurrent queries
+    // mix objectives and client sets.
     conn.next_exp = i % expectations.size();
     per_thread[i % static_cast<std::size_t>(num_threads)].push_back(
         std::move(conn));

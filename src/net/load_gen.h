@@ -50,7 +50,7 @@ struct LoadGenReport {
 
 /// Drives `options.num_connections` concurrent wire connections against a
 /// running server: every connection cycles through `expectations`
-/// (connection i starts at offset i, so concurrent batches mix objectives),
+/// (connection i starts at offset i, so concurrent queries mix objectives),
 /// keeps `pipeline_depth` requests in flight, and checks each response
 /// bit-identically against the expectation it was issued from. Fails (non-ok)
 /// only on transport-level breakage; mismatches/errors are reported, not

@@ -13,7 +13,6 @@
 #include <utility>
 
 #include "src/common/trace.h"
-#include "src/core/batch_engine.h"
 #include "src/service/cost_ledger.h"
 
 namespace ifls {
@@ -61,8 +60,6 @@ struct IflsServer::NetShared {
   std::atomic<std::uint64_t> connections_active{0};
   std::atomic<std::uint64_t> frames_received{0};
   std::atomic<std::uint64_t> queries{0};
-  std::atomic<std::uint64_t> batches{0};
-  std::atomic<std::uint64_t> batched_queries{0};
   std::atomic<std::uint64_t> rejected{0};
   std::atomic<std::uint64_t> errors{0};
   std::atomic<std::uint64_t> pushes_sent{0};
@@ -100,18 +97,13 @@ void IflsServer::EnqueueError(const std::shared_ptr<NetShared>& shared,
 
 namespace {
 
-WireQueryResponse MakeQueryResponse(const IflsResult& result,
-                                    std::uint64_t snapshot_epoch,
-                                    std::uint64_t overlay_size, bool batched,
-                                    std::uint32_t batch_size) {
+WireQueryResponse MakeQueryResponse(const ServiceReply& reply) {
   WireQueryResponse response;
-  response.found = result.found;
-  response.answer = result.answer;
-  response.objective = result.objective;
-  response.snapshot_epoch = snapshot_epoch;
-  response.overlay_size = overlay_size;
-  response.batched = batched;
-  response.batch_size = batch_size;
+  response.found = reply.result.found;
+  response.answer = reply.result.answer;
+  response.objective = reply.result.objective;
+  response.snapshot_epoch = reply.snapshot_epoch;
+  response.overlay_size = static_cast<std::uint64_t>(reply.overlay_size);
   return response;
 }
 
@@ -242,8 +234,6 @@ ServerMetrics IflsServer::Metrics() const {
       shared_->connections_active.load(std::memory_order_relaxed);
   m.frames_received = shared_->frames_received.load(std::memory_order_relaxed);
   m.queries = shared_->queries.load(std::memory_order_relaxed);
-  m.batches = shared_->batches.load(std::memory_order_relaxed);
-  m.batched_queries = shared_->batched_queries.load(std::memory_order_relaxed);
   m.rejected = shared_->rejected.load(std::memory_order_relaxed);
   m.errors = shared_->errors.load(std::memory_order_relaxed);
   m.pushes_sent = shared_->pushes_sent.load(std::memory_order_relaxed);
@@ -263,10 +253,6 @@ void IflsServer::RegisterMetrics() {
   metric_registrations_.push_back(registry.RegisterCallbackCounter(
       "ifls_net_frames_total", "", [shared] {
         return shared->frames_received.load(std::memory_order_relaxed);
-      }));
-  metric_registrations_.push_back(registry.RegisterCallbackCounter(
-      "ifls_net_batches_total", "", [shared] {
-        return shared->batches.load(std::memory_order_relaxed);
       }));
   metric_registrations_.push_back(registry.RegisterCallbackCounter(
       "ifls_net_pushes_total", "", [shared] {
@@ -321,10 +307,6 @@ void IflsServer::LoopThread() {
         FlushOut(conn);
       }
     }
-    // End of cycle: everything decoded above coalesces here — the whole
-    // point of socket-layer batching is that concurrently-arrived queries
-    // share one batch run.
-    FlushCycleQueries();
     FlushPendingWrites();
   }
   // Teardown: close every connection and queue their unsubscribes.
@@ -422,14 +404,32 @@ void IflsServer::HandleFrame(const std::shared_ptr<Connection>& conn,
       return;
     }
     shared_->queries.fetch_add(1, std::memory_order_relaxed);
-    PendingNetQuery pending;
-    pending.conn = conn;
-    pending.request_id = id;
-    pending.objective = ObjectiveForQueryOpcode(frame.opcode);
-    pending.request = std::move(request).value();
-    pending.has_trace = frame.has_trace_context;
-    pending.trace = frame.trace_context;
-    cycle_queries_.push_back(std::move(pending));
+    ServiceRequest query;
+    query.objective = ObjectiveForQueryOpcode(frame.opcode);
+    query.clients = std::move(request.value().clients);
+    query.deadline_seconds = request.value().deadline_seconds;
+    if (frame.has_trace_context) {
+      // Adopt the caller's context: the service's queue/solve spans land
+      // under the client's trace id with the client's sampling verdict.
+      query.trace_id = frame.trace_context.trace_id;
+      query.trace_sampled = frame.trace_context.sampled;
+      query.parent_span_id = frame.trace_context.parent_span_id;
+    }
+    if (service_ != nullptr) {
+      // Single-venue: routing is trivial and admission never blocks, so
+      // submit straight from the loop — no dispatcher hop.
+      RunQuery(conn, id, request.value().venue_id, std::move(query));
+      return;
+    }
+    // Fleet: routing may hydrate a venue, which must not stall the loop.
+    if (!Dispatch([this, conn, id,
+                   venue_id = std::move(request.value().venue_id),
+                   q = std::move(query)]() mutable {
+          RunQuery(conn, id, venue_id, std::move(q));
+        })) {
+      EnqueueError(shared_, conn, id,
+                   Status::Unavailable("dispatch queue full"));
+    }
     return;
   }
   switch (frame.opcode) {
@@ -615,45 +615,6 @@ std::string IflsServer::VenuesJson() const {
   return out;
 }
 
-void IflsServer::FlushCycleQueries() {
-  if (cycle_queries_.empty()) return;
-  std::vector<PendingNetQuery> cycle;
-  cycle.swap(cycle_queries_);
-  if (!options_.coalesce_batches) {
-    for (PendingNetQuery& q : cycle) {
-      std::shared_ptr<Connection> conn = q.conn;
-      std::uint64_t id = q.request_id;
-      if (!Dispatch([this, query = std::move(q)]() mutable {
-            RunSingleQuery(std::move(query));
-          })) {
-        EnqueueError(shared_, conn, id,
-                     Status::Unavailable("dispatch queue full"));
-      }
-    }
-    return;
-  }
-  // Coalesce per venue: a batch only ever touches one venue's service, so
-  // routing happens once and the solver batch shares its pinned state.
-  std::map<std::string, std::vector<PendingNetQuery>> by_venue;
-  for (PendingNetQuery& q : cycle) {
-    by_venue[q.request.venue_id].push_back(std::move(q));
-  }
-  for (auto& [venue_id, batch] : by_venue) {
-    // Keep conn/id pairs for the rejection path before the batch moves.
-    std::vector<std::pair<std::shared_ptr<Connection>, std::uint64_t>> who;
-    who.reserve(batch.size());
-    for (const PendingNetQuery& q : batch) who.emplace_back(q.conn, q.request_id);
-    if (!Dispatch([this, vid = venue_id, b = std::move(batch)]() mutable {
-          RunBatch(std::move(vid), std::move(b));
-        })) {
-      for (auto& [conn, id] : who) {
-        EnqueueError(shared_, conn, id,
-                     Status::Unavailable("dispatch queue full"));
-      }
-    }
-  }
-}
-
 void IflsServer::CloseConnection(const std::shared_ptr<Connection>& conn) {
   {
     std::lock_guard<std::mutex> lock(conn->out_mu);
@@ -780,120 +741,30 @@ Result<std::shared_ptr<IflsService>> IflsServer::Route(
   return router_->Service(venue_id);
 }
 
-void IflsServer::RunBatch(std::string venue_id,
-                          std::vector<PendingNetQuery> batch) {
+void IflsServer::RunQuery(std::shared_ptr<Connection> conn,
+                          std::uint64_t request_id, const std::string& venue_id,
+                          ServiceRequest request) {
   Result<std::shared_ptr<IflsService>> routed = Route(venue_id);
   if (!routed.ok()) {
-    for (const PendingNetQuery& q : batch) {
-      EnqueueError(shared_, q.conn, q.request_id, routed.status());
-    }
+    EnqueueError(shared_, conn, request_id, routed.status());
     return;
-  }
-  std::shared_ptr<IflsService> service = std::move(routed).value();
-  // Pin one state for the whole batch — mirrors Execute()'s single acquire,
-  // and the engine's solver options are copied from the service, so every
-  // answer is bit-identical to the in-process path.
-  std::shared_ptr<const ServingState> state = service->AcquireState();
-  BatchEngineOptions engine_options;
-  engine_options.num_threads = options_.batch_threads;
-  engine_options.minmax = service->options().solvers.minmax;
-  engine_options.mindist = service->options().solvers.mindist;
-  engine_options.maxsum = service->options().solvers.maxsum;
-  BatchQueryEngine engine(engine_options);
-
-  std::vector<BatchQuery> queries;
-  queries.reserve(batch.size());
-  for (PendingNetQuery& q : batch) {
-    BatchQuery bq;
-    bq.objective = q.objective;
-    bq.context.oracle = &state->oracle();
-    bq.context.existing = state->overlay.effective_existing();
-    bq.context.candidates = state->overlay.effective_candidates();
-    bq.context.clients = std::move(q.request.clients);
-    queries.push_back(std::move(bq));
-  }
-  std::vector<BatchQueryOutcome> outcomes = engine.Run(queries);
-  shared_->batches.fetch_add(1, std::memory_order_relaxed);
-  shared_->batched_queries.fetch_add(batch.size(), std::memory_order_relaxed);
-
-  const std::uint64_t epoch = state->snapshot->epoch();
-  const std::uint64_t overlay_size =
-      static_cast<std::uint64_t>(state->overlay.delta().size());
-  // The ledger label: the explicit routing id in fleet mode, the service's
-  // own label in single-venue mode (where venue_id is required empty).
-  const std::string& ledger_venue =
-      venue_id.empty() ? service->options().venue_label : venue_id;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (!outcomes[i].status.ok()) {
-      EnqueueError(shared_, batch[i].conn, batch[i].request_id,
-                   outcomes[i].status);
-      continue;
-    }
-    // Coalesced queries bypass the admission queue, so the service's own
-    // ledger hook never sees them; attribute them here. queue_seconds stays
-    // 0 (dispatch-queue wait is not measured per query on this path) and no
-    // spans are captured — batch runs don't adopt per-query trace scopes;
-    // callers who want a merged distributed trace run against a
-    // no-coalesce server (DESIGN.md §15).
-    QueryCostSample sample;
-    sample.venue = ledger_venue;
-    sample.objective = batch[i].objective;
-    if (batch[i].has_trace) {
-      sample.trace_id = batch[i].trace.trace_id;
-      sample.parent_span_id = batch[i].trace.parent_span_id;
-    }
-    sample.solve_seconds = outcomes[i].result.stats.elapsed_seconds;
-    sample.stats = outcomes[i].result.stats;
-    QueryCostLedger::Global().RecordQuery(sample, /*capture_spans=*/false);
-    EnqueueFrame(shared_, batch[i].conn,
-                 EncodeQueryResultFrame(
-                     batch[i].request_id,
-                     MakeQueryResponse(outcomes[i].result, epoch, overlay_size,
-                                       /*batched=*/true,
-                                       static_cast<std::uint32_t>(
-                                           batch.size()))));
-  }
-}
-
-void IflsServer::RunSingleQuery(PendingNetQuery query) {
-  Result<std::shared_ptr<IflsService>> routed = Route(query.request.venue_id);
-  if (!routed.ok()) {
-    EnqueueError(shared_, query.conn, query.request_id, routed.status());
-    return;
-  }
-  std::shared_ptr<IflsService> service = std::move(routed).value();
-  ServiceRequest request;
-  request.objective = query.objective;
-  request.clients = std::move(query.request.clients);
-  request.deadline_seconds = query.request.deadline_seconds;
-  if (query.has_trace) {
-    // Adopt the caller's context: the service's queue/solve spans land
-    // under the client's trace id with the client's sampling verdict.
-    request.trace_id = query.trace.trace_id;
-    request.trace_sampled = query.trace.sampled;
-    request.parent_span_id = query.trace.parent_span_id;
   }
   std::shared_ptr<NetShared> shared = shared_;
-  std::shared_ptr<Connection> conn = query.conn;
-  const std::uint64_t id = query.request_id;
   // The completion callback owns everything it touches via shared_ptr: it
   // may fire on a service worker after this server object is gone.
-  Status admitted = service->SubmitQueryAsync(
-      std::move(request), [shared, conn, id](ServiceReply reply) {
+  Status admitted = routed.value()->SubmitQueryAsync(
+      std::move(request), [shared, conn, request_id](ServiceReply reply) {
         if (!reply.status.ok()) {
-          EnqueueError(shared, conn, id, reply.status);
+          EnqueueError(shared, conn, request_id, reply.status);
           return;
         }
         EnqueueFrame(shared, conn,
-                     EncodeQueryResultFrame(
-                         id, MakeQueryResponse(
-                                 reply.result, reply.snapshot_epoch,
-                                 static_cast<std::uint64_t>(reply.overlay_size),
-                                 /*batched=*/false, /*batch_size=*/0)));
+                     EncodeQueryResultFrame(request_id,
+                                            MakeQueryResponse(reply)));
       });
   if (!admitted.ok()) {
     // Shed at admission: the callback did not and will not fire.
-    EnqueueError(shared_, conn, id, admitted);
+    EnqueueError(shared_, conn, request_id, admitted);
   }
 }
 

@@ -24,25 +24,15 @@ namespace ifls {
 struct ServerOptions {
   /// Loopback TCP port; 0 picks a free port (read it back via port()).
   std::uint16_t port = 0;
-  /// Socket-layer batching: query frames decoded within one epoll cycle are
-  /// coalesced per venue and run as one BatchQueryEngine batch on a
-  /// dispatcher thread. Off routes every query through the service's
-  /// admission queue individually (SubmitQueryAsync). Answers are
-  /// bit-identical either way; batching trades per-query queue hops for
-  /// batch locality.
-  bool coalesce_batches = true;
-  /// Threads draining the dispatch queue (routed work: batches, single
-  /// queries, mutations, subscription calls). Venue hydration and solver
-  /// runs happen here, never on the event loop.
+  /// Threads draining the dispatch queue (routed work that may block:
+  /// fleet-mode queries, mutations, subscription calls). Venue hydration
+  /// and solver runs never happen on the event loop.
   int num_dispatchers = 2;
   /// Bound on queued dispatch jobs — the socket-layer mirror of
   /// ServiceOptions::queue_capacity. Overflow is backpressure: the affected
   /// frames are answered with kError(kUnavailable) and counted in
   /// ifls_net_rejected_total; the connection stays open.
   std::size_t dispatch_queue_capacity = 256;
-  /// Thread count inside each coalesced batch run (BatchEngineOptions::
-  /// num_threads); 1 solves the batch inline on the dispatcher thread.
-  int batch_threads = 1;
 };
 
 /// Aggregate server counters (process-wide mirrors live in the metrics
@@ -52,8 +42,10 @@ struct ServerMetrics {
   std::uint64_t connections_active = 0;   // gauge
   std::uint64_t frames_received = 0;
   std::uint64_t queries = 0;
-  std::uint64_t batches = 0;          // coalesced batch runs
-  std::uint64_t batched_queries = 0;  // queries served from those batches
+  /// Always 0: the server no longer batches queries at the socket layer.
+  /// Kept so existing readers of the struct still compile.
+  std::uint64_t batches = 0;
+  std::uint64_t batched_queries = 0;
   std::uint64_t rejected = 0;         // kUnavailable backpressure replies
   std::uint64_t errors = 0;           // kError frames sent (incl. rejected)
   std::uint64_t pushes_sent = 0;      // subscription pushes streamed out
@@ -74,15 +66,19 @@ struct ServerMetrics {
 /// and every connection's receive side — reads, frame reassembly
 /// (ByteRing), envelope validation and response flushing all happen there,
 /// so connection state needs no locking beyond each connection's outbound
-/// buffer (written by dispatcher threads and subscription callbacks, flushed
-/// by the loop after an eventfd wake). Anything that may block — venue
-/// hydration, admission, solver runs, mutations, subscribe/tick calls —
-/// runs on the dispatcher pool.
+/// buffer (written by dispatcher threads and service callbacks, flushed by
+/// the loop after an eventfd wake). Anything that may block — venue
+/// hydration, mutations, subscribe/tick calls — runs on the dispatcher
+/// pool; solver runs happen on the service's query workers.
 ///
-/// Answer fidelity: both execution paths end in the same
-/// SolveWithObjective(objective, ctx, service->options().solvers) the
-/// in-process service uses, against a pinned ServingState, so a networked
-/// reply is bit-identical to calling IflsService::Query in process
+/// Queries: every query frame goes through IflsService::SubmitQueryAsync,
+/// so networked queries get the service's admission bound, deadlines,
+/// trace adoption, metrics and cost ledger exactly as in-process ones do.
+/// In single-venue mode the loop submits the frame as soon as it decodes
+/// it: routing is trivial and admission takes one mutex to push or shed,
+/// so nothing blocks. In fleet mode routing may hydrate a venue, so the
+/// query hops through a dispatcher first. Either way the reply is the one
+/// IflsService::Query gives in process, bit for bit
 /// (tests/net_server_test locks this in).
 class IflsServer {
  public:
@@ -119,18 +115,6 @@ class IflsServer {
   /// it): the outbound flush handshake (queue + eventfd) and the counters
   /// those callbacks bump. Owned via shared_ptr; defined in server.cc.
   struct NetShared;
-  /// One decoded query frame awaiting execution (the unit of coalescing).
-  struct PendingNetQuery {
-    std::shared_ptr<Connection> conn;
-    std::uint64_t request_id = 0;
-    IflsObjective objective = IflsObjective::kMinMax;
-    WireQueryRequest request;
-    /// Trace context propagated on the query frame (DESIGN.md §15);
-    /// has_trace false = context-free frame, server mints locally.
-    bool has_trace = false;
-    TraceContext trace;
-  };
-
   IflsServer(std::shared_ptr<IflsService> service,
              std::shared_ptr<VenueRouter> router, ServerOptions options);
   Status Start();
@@ -139,7 +123,6 @@ class IflsServer {
   void AcceptReady();
   void HandleReadable(const std::shared_ptr<Connection>& conn);
   /// Decodes and routes every complete frame in the connection's ring.
-  /// Query frames land in cycle_queries_ for end-of-cycle coalescing.
   void DrainFrames(const std::shared_ptr<Connection>& conn);
   void HandleFrame(const std::shared_ptr<Connection>& conn, WireFrame frame);
   /// Serves the HTTP admin plane (DESIGN.md §15) on a connection whose
@@ -149,9 +132,6 @@ class IflsServer {
   /// The /venues JSON document: per-venue residency/eviction stats (fleet
   /// mode) or one synthetic always-resident entry (single-venue mode).
   std::string VenuesJson() const;
-  /// End-of-epoll-cycle: groups cycle_queries_ per venue and dispatches
-  /// batch jobs (or per-query admission jobs with coalescing off).
-  void FlushCycleQueries();
   void CloseConnection(const std::shared_ptr<Connection>& conn);
 
   /// Appends an encoded frame to the connection's outbound buffer and pokes
@@ -181,12 +161,13 @@ class IflsServer {
   void DispatcherThread();
 
   /// Resolves the service a request routes to (single-venue or fleet). May
-  /// hydrate — dispatcher threads only.
+  /// hydrate in fleet mode — dispatcher threads only there.
   Result<std::shared_ptr<IflsService>> Route(const std::string& venue_id);
 
-  // Dispatcher-side request executors.
-  void RunBatch(std::string venue_id, std::vector<PendingNetQuery> batch);
-  void RunSingleQuery(PendingNetQuery query);
+  // Request executors. RunQuery also runs on the loop thread in
+  // single-venue mode; the rest run on dispatcher threads.
+  void RunQuery(std::shared_ptr<Connection> conn, std::uint64_t request_id,
+                const std::string& venue_id, ServiceRequest request);
   void RunMutate(std::shared_ptr<Connection> conn, std::uint64_t request_id,
                  WireMutateRequest request);
   void RunSubscribe(std::shared_ptr<Connection> conn, std::uint64_t request_id,
@@ -217,9 +198,6 @@ class IflsServer {
 
   /// Loop-thread-owned connection table (fd -> connection).
   std::map<int, std::shared_ptr<Connection>> conns_;
-  /// Query frames decoded during the current epoll cycle, coalesced by
-  /// FlushCycleQueries. Loop thread only.
-  std::vector<PendingNetQuery> cycle_queries_;
 
   // Dispatch queue.
   std::mutex dispatch_mu_;

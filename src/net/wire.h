@@ -100,8 +100,7 @@ enum class WireOpcode : std::uint16_t {
 /// Stable name for logs/tests ("QueryMinMax", "Error", ...).
 const char* WireOpcodeName(WireOpcode opcode);
 
-/// True for the three query opcodes (the ones the server may coalesce into
-/// socket-layer batches).
+/// True for the three query opcodes.
 inline bool IsQueryOpcode(WireOpcode op) {
   return op == WireOpcode::kQueryMinMax || op == WireOpcode::kQueryMinDist ||
          op == WireOpcode::kQueryMaxSum;
@@ -137,9 +136,9 @@ struct WireQueryRequest {
 
 /// kQueryResult. `answer`/`objective` are the solver's exact bits, so a
 /// client can differentially check a networked reply against an in-process
-/// solve with bit equality. `batched`/`batch_size` report whether the server
-/// served this query from a coalesced socket-layer batch (observability;
-/// answers are identical either way).
+/// solve with bit equality. `batched`/`batch_size` are always false/0: the
+/// server no longer batches queries at the socket layer, and the fields stay
+/// only so the frame layout is unchanged.
 struct WireQueryResponse {
   bool found = false;
   PartitionId answer = kInvalidPartition;

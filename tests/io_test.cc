@@ -74,7 +74,7 @@ TEST(VenueIoTest, CategoriesWithSpacesSurvive) {
 
 TEST(VenueIoTest, FileRoundTrip) {
   TinyVenue t = BuildTinyVenue();
-  const std::string path = ::testing::TempDir() + "/ifls_venue.txt";
+  const std::string path = testing_util::UniqueTempPath("venue.txt");
   ASSERT_TRUE(SaveVenueToFile(t.venue, path).ok());
   Venue loaded = Unwrap(LoadVenueFromFile(path));
   ExpectVenuesEqual(t.venue, loaded);
@@ -116,7 +116,7 @@ TEST(WorkloadIoTest, FileRoundTrip) {
   Rng rng(23);
   WorkloadData data;
   data.facilities = Unwrap(SelectUniformFacilities(venue, 2, 3, &rng));
-  const std::string path = ::testing::TempDir() + "/ifls_workload.txt";
+  const std::string path = testing_util::UniqueTempPath("workload.txt");
   ASSERT_TRUE(SaveWorkloadToFile(data, path).ok());
   WorkloadData loaded = Unwrap(LoadWorkloadFromFile(path));
   EXPECT_EQ(loaded.facilities.existing, data.facilities.existing);
@@ -141,7 +141,7 @@ class V3CorruptionTest : public ::testing::Test {
     venue_ = testing_util::Unwrap(
         GenerateVenue(testing_util::SmallVenueSpec()));
     VipTree tree = testing_util::Unwrap(VipTree::Build(&venue_));
-    path_ = ::testing::TempDir() + "/ifls_corrupt.v3.ifls";
+    path_ = testing_util::UniqueTempPath("corrupt.v3.ifls");
     ASSERT_TRUE(tree.SaveV3ToFile(path_).ok());
   }
 

@@ -1,14 +1,15 @@
 // Integration coverage of the wire server + client (DESIGN.md §13): every
-// networked answer must be bit-identical to the in-process service, with
-// both batching configs; backpressure travels as typed kUnavailable error
-// frames (never dropped connections); mutations, standing subscriptions,
-// metrics/trace pulls and corrupt-stream teardown all ride the same loop;
-// and a thousand concurrent loopback connections verify differentially via
-// the load generator. The PR 10 additions (DESIGN.md §15) are covered here
-// too: the HTTP admin plane sharing the binary port (valid scrapes, 400 on
-// malformed requests, interleaving with binary traffic under TSan), pong
-// timestamps feeding the clock-offset estimate, and wire trace-context
-// propagation honoring the caller's sampling verdict server-side.
+// networked answer must be bit-identical to the in-process service and pass
+// through its admission queue (deadlines included); backpressure travels as
+// typed kUnavailable error frames (never dropped connections); mutations,
+// standing subscriptions, metrics/trace pulls and corrupt-stream teardown
+// all ride the same loop; and a thousand concurrent loopback connections
+// verify differentially via the load generator. The observability
+// features of DESIGN.md §15 are covered here too: the HTTP admin plane sharing the
+// binary port (valid scrapes, 400 on malformed requests, interleaving with
+// binary traffic under TSan), pong timestamps feeding the clock-offset
+// estimate, and wire trace-context propagation honoring the caller's
+// sampling verdict server-side.
 
 #include <gtest/gtest.h>
 
@@ -70,52 +71,81 @@ std::shared_ptr<IflsService> MakeTinyService(ServiceOptions options = {}) {
       options)));
 }
 
-// ------------------------------------------------- queries, both configs
+// ----------------------------------------------------------------- queries
 
-TEST(NetServerTest, QueryBitIdenticalToInProcessBothBatchingModes) {
-  for (bool coalesce : {true, false}) {
-    std::shared_ptr<IflsService> service = MakeTinyService();
-    const std::vector<Client> clients =
-        SomeClients(service->AcquireState()->snapshot->venue(), 6, 11);
+TEST(NetServerTest, QueryBitIdenticalToInProcess) {
+  std::shared_ptr<IflsService> service = MakeTinyService();
+  const std::vector<Client> clients =
+      SomeClients(service->AcquireState()->snapshot->venue(), 6, 11);
 
-    // In-process ground truth, one per objective.
-    std::vector<ServiceReply> expected;
-    for (IflsObjective objective :
-         {IflsObjective::kMinMax, IflsObjective::kMinDist,
-          IflsObjective::kMaxSum}) {
-      ServiceRequest request;
-      request.objective = objective;
-      request.clients = clients;
-      expected.push_back(service->Query(std::move(request)));
-      ASSERT_TRUE(expected.back().status.ok());
-    }
-
-    ServerOptions server_options;
-    server_options.coalesce_batches = coalesce;
-    std::unique_ptr<IflsServer> server =
-        Unwrap(IflsServer::Create(service, server_options));
-    std::unique_ptr<IflsClient> client =
-        Unwrap(IflsClient::Connect(server->port()));
-
-    int idx = 0;
-    for (IflsObjective objective :
-         {IflsObjective::kMinMax, IflsObjective::kMinDist,
-          IflsObjective::kMaxSum}) {
-      WireQueryRequest request;
-      request.clients = clients;
-      const WireQueryResponse response =
-          Unwrap(client->Query(objective, request));
-      EXPECT_EQ(response.found, expected[idx].result.found);
-      EXPECT_EQ(response.answer, expected[idx].result.answer);
-      EXPECT_TRUE(
-          BitEqual(response.objective, expected[idx].result.objective))
-          << "objective " << idx << " coalesce=" << coalesce;
-      EXPECT_EQ(response.batched, coalesce);
-      ++idx;
-    }
-    server->Stop();
-    service->Stop();
+  // In-process ground truth, one per objective.
+  std::vector<ServiceReply> expected;
+  for (IflsObjective objective :
+       {IflsObjective::kMinMax, IflsObjective::kMinDist,
+        IflsObjective::kMaxSum}) {
+    ServiceRequest request;
+    request.objective = objective;
+    request.clients = clients;
+    expected.push_back(service->Query(std::move(request)));
+    ASSERT_TRUE(expected.back().status.ok());
   }
+  const std::uint64_t completed_in_process = service->Metrics().completed;
+
+  std::unique_ptr<IflsServer> server = Unwrap(IflsServer::Create(service));
+  std::unique_ptr<IflsClient> client =
+      Unwrap(IflsClient::Connect(server->port()));
+
+  int idx = 0;
+  for (IflsObjective objective :
+       {IflsObjective::kMinMax, IflsObjective::kMinDist,
+        IflsObjective::kMaxSum}) {
+    WireQueryRequest request;
+    request.clients = clients;
+    const WireQueryResponse response =
+        Unwrap(client->Query(objective, request));
+    EXPECT_EQ(response.found, expected[idx].result.found);
+    EXPECT_EQ(response.answer, expected[idx].result.answer);
+    EXPECT_TRUE(BitEqual(response.objective, expected[idx].result.objective))
+        << "objective " << idx;
+    EXPECT_FALSE(response.batched);
+    ++idx;
+  }
+  // Every networked query ran through the service's admission queue.
+  EXPECT_EQ(service->Metrics().completed - completed_in_process,
+            static_cast<std::uint64_t>(idx));
+  server->Stop();
+  service->Stop();
+}
+
+TEST(NetServerTest, WireDeadlineEnforcedByAdmissionQueue) {
+  // Admission-only service: the query parks in the queue until this thread
+  // pumps it, by which time its 1 ns wire deadline has long passed.
+  ServiceOptions service_options;
+  service_options.num_workers = 0;
+  std::shared_ptr<IflsService> service = MakeTinyService(service_options);
+  const Venue& venue = service->AcquireState()->snapshot->venue();
+  std::unique_ptr<IflsServer> server = Unwrap(IflsServer::Create(service));
+  std::unique_ptr<IflsClient> client =
+      Unwrap(IflsClient::Connect(server->port()));
+
+  WireQueryRequest request;
+  request.clients = SomeClients(venue, 3, 9);
+  request.deadline_seconds = 1e-9;
+  const std::uint64_t id =
+      Unwrap(client->SendQuery(IflsObjective::kMinMax, request));
+  for (int spin = 0; spin < 5000 && service->Metrics().admitted < 1; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(service->Metrics().admitted, 1u);
+  while (service->ProcessOneInline()) {
+  }
+  Result<WireQueryResponse> response = client->WaitQuery(id);
+  ASSERT_FALSE(response.ok());
+  EXPECT_EQ(response.status().code(), StatusCode::kDeadlineExceeded)
+      << response.status().ToString();
+  EXPECT_TRUE(client->Ping().ok());
+  server->Stop();
+  service->Stop();
 }
 
 TEST(NetServerTest, PipelinedResponsesMatchedByRequestId) {
@@ -166,10 +196,7 @@ TEST(NetServerTest, BackpressureTravelsAsTypedErrorFrame) {
   std::shared_ptr<IflsService> service = MakeTinyService(service_options);
   const Venue& venue = service->AcquireState()->snapshot->venue();
 
-  ServerOptions server_options;
-  server_options.coalesce_batches = false;  // route through the admission queue
-  std::unique_ptr<IflsServer> server =
-      Unwrap(IflsServer::Create(service, server_options));
+  std::unique_ptr<IflsServer> server = Unwrap(IflsServer::Create(service));
   std::unique_ptr<IflsClient> client =
       Unwrap(IflsClient::Connect(server->port()));
 
@@ -524,12 +551,7 @@ TEST(NetServerTest, TraceContextPropagatesAcrossTheWire) {
 
   std::shared_ptr<IflsService> service = MakeTinyService();
   const Venue& venue = service->AcquireState()->snapshot->venue();
-  ServerOptions server_options;
-  // Coalesced batches deliberately do not adopt per-query scopes; the
-  // propagation contract is on the admission path.
-  server_options.coalesce_batches = false;
-  std::unique_ptr<IflsServer> server =
-      Unwrap(IflsServer::Create(service, server_options));
+  std::unique_ptr<IflsServer> server = Unwrap(IflsServer::Create(service));
   std::unique_ptr<IflsClient> client =
       Unwrap(IflsClient::Connect(server->port()));
 
@@ -626,8 +648,7 @@ TEST(NetServerTest, SingleVenueServerRejectsVenueIds) {
 TEST(NetServerTest, FleetServerRoutesByVenueId) {
   // Two distinct venues in a fleet directory; the wire venue_id picks which
   // one answers, hydrating lazily on first touch.
-  const std::string root =
-      ::testing::TempDir() + "/ifls_net_fleet";
+  const std::string root = testing_util::UniqueTempPath("fleet");
   std::filesystem::remove_all(root);
   std::vector<Venue> venues;
   std::vector<FacilitySets> sets;
@@ -691,7 +712,9 @@ TEST(NetServerTest, FleetServerRoutesByVenueId) {
 // --------------------------------------------------- concurrency at scale
 
 TEST(NetServerTest, ThousandConnectionsBitIdenticalUnderLoad) {
-  std::shared_ptr<IflsService> service = MakeTinyService();
+  ServiceOptions service_options;
+  service_options.queue_capacity = 8192;  // errors==0 asserted below
+  std::shared_ptr<IflsService> service = MakeTinyService(service_options);
   const Venue& venue = service->AcquireState()->snapshot->venue();
 
   // Ground truth straight from the in-process service.
@@ -717,12 +740,7 @@ TEST(NetServerTest, ThousandConnectionsBitIdenticalUnderLoad) {
     }
   }
 
-  ServerOptions server_options;
-  server_options.coalesce_batches = true;
-  server_options.num_dispatchers = 4;
-  server_options.dispatch_queue_capacity = 8192;  // errors==0 asserted below
-  std::unique_ptr<IflsServer> server =
-      Unwrap(IflsServer::Create(service, server_options));
+  std::unique_ptr<IflsServer> server = Unwrap(IflsServer::Create(service));
 
   LoadGenOptions load;
   load.port = server->port();
@@ -736,11 +754,8 @@ TEST(NetServerTest, ThousandConnectionsBitIdenticalUnderLoad) {
   EXPECT_EQ(report.completed,
             load.num_connections * load.queries_per_connection);
   EXPECT_GT(report.qps, 0.0);
-  // Socket-layer batching actually engaged under concurrent arrivals.
-  const ServerMetrics metrics = server->Metrics();
-  EXPECT_EQ(metrics.queries,
+  EXPECT_EQ(server->Metrics().queries,
             load.num_connections * load.queries_per_connection);
-  EXPECT_GT(metrics.batched_queries, 0u);
   server->Stop();
   service->Stop();
 }

@@ -94,7 +94,7 @@ TEST(SvgExportTest, StairDoorsAreHighlighted) {
 TEST(SvgExportTest, WritesFile) {
   TinyVenue t = BuildTinyVenue();
   SvgOptions options;
-  const std::string path = ::testing::TempDir() + "/ifls_render.svg";
+  const std::string path = testing_util::UniqueTempPath("render.svg");
   ASSERT_TRUE(RenderLevelSvgToFile(t.venue, options, path).ok());
   std::ifstream in(path);
   ASSERT_TRUE(in.is_open());

@@ -1,6 +1,12 @@
 #ifndef IFLS_TESTS_TEST_UTIL_H_
 #define IFLS_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <filesystem>
+#include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -93,6 +99,30 @@ inline Client RandomClient(const Venue& venue, Rng* rng, ClientId id) {
                        p.level());
     return c;
   }
+}
+
+/// A scratch path unique to the running test: the test binary's pid names a
+/// directory under ::testing::TempDir() and the suite and test name prefix
+/// the file, so `ctest -j` never has two processes racing on one file. The
+/// directory and everything in it is removed when the test binary exits.
+inline std::string UniqueTempPath(const std::string& stem) {
+  struct ProcessDir {
+    const pid_t owner = ::getpid();
+    const std::string path = ::testing::TempDir() + "/ifls_test." +
+                             std::to_string(owner);
+    ProcessDir() { std::filesystem::create_directories(path); }
+    ~ProcessDir() {
+      // A forked death-test child exiting must not delete its parent's files.
+      if (::getpid() != owner) return;
+      std::error_code ignored;
+      std::filesystem::remove_all(path, ignored);
+    }
+  };
+  static const ProcessDir dir;
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  return dir.path + "/" + info->test_suite_name() + "." + info->name() + "." +
+         stem;
 }
 
 }  // namespace testing_util

@@ -31,8 +31,7 @@ using testing_util::Unwrap;
 class VenueRouterTest : public ::testing::Test {
  protected:
   void BuildFleet(int count) {
-    root_ = ::testing::TempDir() + "/ifls_fleet_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    root_ = testing_util::UniqueTempPath("fleet");
     std::filesystem::remove_all(root_);
     for (int i = 0; i < count; ++i) {
       VenueGeneratorSpec spec = testing_util::SmallVenueSpec();

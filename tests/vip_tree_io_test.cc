@@ -106,7 +106,7 @@ TEST(VipTreeIoTest, RoundTripPreservesDistances) {
 TEST(VipTreeIoTest, FileRoundTrip) {
   Venue venue = Unwrap(GenerateVenue(SmallVenueSpec()));
   VipTree built = Unwrap(VipTree::Build(&venue));
-  const std::string path = ::testing::TempDir() + "/ifls_tree.txt";
+  const std::string path = testing_util::UniqueTempPath("tree.txt");
   ASSERT_TRUE(built.SaveToFile(path).ok());
   VipTree loaded = Unwrap(VipTree::LoadFromFile(&venue, path));
   GraphDistanceOracle oracle(&venue);

@@ -75,7 +75,7 @@ void ExpectSamePayload(const VipTree& built, const VipTree& loaded) {
 }
 
 std::string SaveV3ToTempFile(const VipTree& tree, const std::string& stem) {
-  const std::string path = ::testing::TempDir() + "/" + stem + ".v3.ifls";
+  const std::string path = testing_util::UniqueTempPath(stem + ".v3.ifls");
   IFLS_CHECK(tree.SaveV3ToFile(path).ok());
   return path;
 }
@@ -97,7 +97,7 @@ TEST(VipTreeIoV3Test, LoadFromFileSniffsV3Magic) {
   Venue venue = Unwrap(GenerateVenue(SmallVenueSpec()));
   VipTree built = Unwrap(VipTree::Build(&venue));
   const std::string v3 = SaveV3ToTempFile(built, "sniff");
-  const std::string v2 = ::testing::TempDir() + "/sniff.v2.txt";
+  const std::string v2 = testing_util::UniqueTempPath("sniff.v2.txt");
   ASSERT_TRUE(built.SaveToFile(v2).ok());
 
   VipTree from_v3 = Unwrap(VipTree::LoadFromFile(&venue, v3));

@@ -22,11 +22,11 @@
 //                [--budget-mb MB] [--max-resident N] [--workers N]
 //                [--parse-load] [--seed S] [--metrics]
 //   serve        [--preset MC|CH|CPH|MZB] [--port P] [--workers N]
-//                [--existing N] [--candidates N] [--no-coalesce]
-//                [--smoke N] [--seed S] [--metrics]
+//                [--existing N] [--candidates N] [--smoke N] [--seed S]
+//                [--metrics]
 //   bench-net    [--preset MC|CH|CPH|MZB] [--connections N] [--threads N]
 //                [--pipeline D] [--queries N] [--clients N] [--distinct N]
-//                [--workers N] [--dispatchers N] [--no-coalesce] [--seed S]
+//                [--workers N] [--seed S]
 //
 // `trace` runs a traced IflsService session (queries across all three
 // objectives, a facility-mutation + compaction cycle, and a graph-oracle
@@ -41,9 +41,7 @@
 // writes ONE merged Chrome timeline — client RPC spans (pid 1) over server
 // queue/solve/oracle spans (pid 2) under the same trace ids. The --preset
 // and --seed must match the serve invocation (the client pool is
-// regenerated locally and must be valid in the server's venue). Start the
-// server with --no-coalesce: per-query server spans are recorded on the
-// admission path, which coalesced batches bypass.
+// regenerated locally and must be valid in the server's venue).
 //
 // `subscribe` registers standing IFLS queries over trajectory-driven
 // crowds, drives ticks plus a candidate-mutation/compaction cycle through
@@ -862,8 +860,10 @@ int Fleet(const Args& args) {
 
 /// Builds the preset-backed service the network commands serve. The venue,
 /// facility sets and client pool are deterministic for a given seed, so a
-/// `serve --smoke` differential check has stable ground truth.
-Result<std::shared_ptr<IflsService>> BuildServeService(const Args& args) {
+/// `serve --smoke` differential check has stable ground truth. --queue
+/// overrides the admission bound, `default_queue` otherwise.
+Result<std::shared_ptr<IflsService>> BuildServeService(
+    const Args& args, std::size_t default_queue = 1024) {
   const auto preset = ParsePreset(args.GetOr("preset", "MC"));
   if (!preset) return Status::InvalidArgument("unknown preset");
   Result<Venue> venue = BuildPresetVenue(*preset);
@@ -875,8 +875,8 @@ Result<std::shared_ptr<IflsService>> BuildServeService(const Args& args) {
   if (!sets.ok()) return sets.status();
   ServiceOptions options;
   options.num_workers = static_cast<int>(args.GetInt("workers", 2));
-  options.queue_capacity =
-      static_cast<std::size_t>(args.GetInt("queue", 1024));
+  options.queue_capacity = static_cast<std::size_t>(
+      args.GetInt("queue", static_cast<long>(default_queue)));
   // The preset name doubles as the cost-ledger venue label, so the served
   // ifls_ledger_* series carry venue="MC" etc. out of the box.
   options.venue_label = args.GetOr("preset", "MC");
@@ -892,13 +892,11 @@ int Serve(const Args& args) {
 
   ServerOptions sopts;
   sopts.port = static_cast<std::uint16_t>(args.GetInt("port", 0));
-  sopts.coalesce_batches = !args.Has("no-coalesce");
   Result<std::unique_ptr<IflsServer>> server =
       IflsServer::Create(*service, sopts);
   if (!server.ok()) return Fail(server.status());
-  std::printf("serving %s on 127.0.0.1:%u (%s batching, %ld workers)\n",
+  std::printf("serving %s on 127.0.0.1:%u (%ld workers)\n",
               args.GetOr("preset", "MC").c_str(), (*server)->port(),
-              sopts.coalesce_batches ? "coalesced" : "per-query",
               args.GetInt("workers", 2));
   std::fflush(stdout);
 
@@ -962,9 +960,6 @@ int Serve(const Args& args) {
 }
 
 int BenchNet(const Args& args) {
-  Result<std::shared_ptr<IflsService>> service = BuildServeService(args);
-  if (!service.ok()) return Fail(service.status());
-
   const std::size_t connections =
       static_cast<std::size_t>(args.GetInt("connections", 1024));
   const std::size_t clients_per_query =
@@ -972,6 +967,12 @@ int BenchNet(const Args& args) {
   const std::size_t distinct =
       static_cast<std::size_t>(args.GetInt("distinct", 24));
   const int pipeline = static_cast<int>(args.GetInt("pipeline", 2));
+
+  // Every in-flight query waits in the admission queue: size it so the
+  // offered load is never shed.
+  Result<std::shared_ptr<IflsService>> service = BuildServeService(
+      args, connections * (static_cast<std::size_t>(pipeline) + 1));
+  if (!service.ok()) return Fail(service.status());
 
   // Ground truth pool the load generator replays and checks against.
   const std::shared_ptr<const ServingState> state = (*service)->AcquireState();
@@ -1001,13 +1002,7 @@ int BenchNet(const Args& args) {
     expectations.push_back(std::move(exp));
   }
 
-  ServerOptions sopts;
-  sopts.coalesce_batches = !args.Has("no-coalesce");
-  sopts.num_dispatchers = static_cast<int>(args.GetInt("dispatchers", 4));
-  sopts.dispatch_queue_capacity =
-      connections * (static_cast<std::size_t>(pipeline) + 1);
-  Result<std::unique_ptr<IflsServer>> server =
-      IflsServer::Create(*service, sopts);
+  Result<std::unique_ptr<IflsServer>> server = IflsServer::Create(*service);
   if (!server.ok()) return Fail(server.status());
 
   LoadGenOptions load;
@@ -1022,12 +1017,10 @@ int BenchNet(const Args& args) {
 
   const ServerMetrics sm = (*server)->Metrics();
   std::printf(
-      "bench-net (%s batching): %llu ok / %llu err / %llu mismatch across "
+      "bench-net: %llu ok / %llu err / %llu mismatch across "
       "%zu connections in %.3fs\n"
       "  %.0f qps, p50 %.3fms, p99 %.3fms, p999 %.3fms\n"
-      "  server: %llu frames, %llu batches (%llu queries batched), "
-      "%llu rejected\n",
-      sopts.coalesce_batches ? "coalesced" : "per-query",
+      "  server: %llu frames, %llu rejected\n",
       static_cast<unsigned long long>(report->completed),
       static_cast<unsigned long long>(report->errors),
       static_cast<unsigned long long>(report->mismatches),
@@ -1035,8 +1028,6 @@ int BenchNet(const Args& args) {
       report->p50_seconds * 1e3, report->p99_seconds * 1e3,
       report->p999_seconds * 1e3,
       static_cast<unsigned long long>(sm.frames_received),
-      static_cast<unsigned long long>(sm.batches),
-      static_cast<unsigned long long>(sm.batched_queries),
       static_cast<unsigned long long>(sm.rejected));
   (*server)->Stop();
   (*service)->Stop();
