@@ -1,22 +1,21 @@
-// Solver throughput before/after the min-plus kernel + sharded-cache work,
-// measured at three layers:
+// Solver throughput before/after the sharded door cache, measured at two
+// layers:
 //
-//   1. kernel microbench — the blocked min-plus kernels timed under forced
-//      scalar and best-supported-tier dispatch on identical inputs (the
-//      headline single-thread kernel speedup; bench_kernel_micro sweeps
-//      every tier of the ladder);
-//   2. cache microbench — the legacy mutex + unordered_map door memo
+//   1. cache microbench — the legacy mutex + unordered_map door memo
 //      (reconstructed here) vs the sharded seqlock ConcurrentDoorCache,
 //      mixed lookup/insert at 1 and 8 threads;
-//   3. solver throughput — per-objective queries/sec through
-//      BatchQueryEngine at 1 and 8 threads, "before" (scalar kernels, door
-//      cache off) vs "after" (SIMD kernels, sharded door cache on), with
-//      every after-answer differential-checked bit-identical to before.
+//   2. solver throughput — per-objective queries/sec through
+//      BatchQueryEngine at 1 and 8 threads, "before" (door cache off) vs
+//      "after" (sharded door cache on), both on the kernel backend dispatch
+//      selected, with every after-answer differential-checked bit-identical
+//      to before.
+//
+// Kernel cost itself is timed by the repo benchmark's kernels.*_ns probes
+// (perfbench/) on real node matrices.
 //
 // Writes BENCH_solver_throughput.json (shared schema, src/benchlib).
 // Scale via IFLS_BENCH_SCALE=smoke|default|full.
 
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
@@ -38,117 +37,11 @@
 namespace ifls {
 namespace {
 
-/// Sink that keeps the optimizer from deleting the timed kernel calls.
+/// Sink that keeps the optimizer from deleting the timed cache lookups.
 volatile double g_sink = 0.0;
 
 // ---------------------------------------------------------------------------
-// Layer 1: kernel microbench.
-
-struct KernelInstance {
-  std::vector<double> matrix;
-  std::size_t stride = 0;
-  std::vector<std::int32_t> rows;
-  std::vector<std::int32_t> cols;
-  std::vector<double> a;
-  std::vector<double> b;
-  std::vector<double> out;
-};
-
-KernelInstance MakeKernelInstance(Rng* rng, std::size_t dim, std::size_t n) {
-  KernelInstance inst;
-  inst.stride = dim;
-  inst.matrix.resize(dim * dim);
-  for (double& v : inst.matrix) v = rng->NextUniform(0.0, 1000.0);
-  inst.rows.resize(n);
-  inst.cols.resize(n);
-  for (auto& r : inst.rows) {
-    r = static_cast<std::int32_t>(rng->NextInt(0, static_cast<int>(dim) - 1));
-  }
-  for (auto& c : inst.cols) {
-    c = static_cast<std::int32_t>(rng->NextInt(0, static_cast<int>(dim) - 1));
-  }
-  inst.a.resize(n);
-  inst.b.resize(n);
-  for (double& v : inst.a) v = rng->NextUniform(0.0, 500.0);
-  for (double& v : inst.b) v = rng->NextUniform(0.0, 500.0);
-  inst.out.resize(n);
-  return inst;
-}
-
-/// ns per call of `fn`, averaged over `iters` calls after one warmup call.
-template <typename Fn>
-double TimeNs(int iters, Fn&& fn) {
-  fn();
-  Stopwatch watch;
-  for (int i = 0; i < iters; ++i) fn();
-  return watch.ElapsedSeconds() * 1e9 / iters;
-}
-
-struct KernelRow {
-  std::string name;
-  double scalar_ns = 0.0;
-  double simd_ns = 0.0;
-  double speedup = 0.0;
-};
-
-/// Times one kernel pinned to the scalar reference and to the best
-/// supported SIMD tier on the same instances. (bench_kernel_micro sweeps
-/// the full tier ladder; this report keeps the headline before/after pair.)
-template <typename Fn>
-KernelRow BenchKernel(const std::string& name, int iters, Fn&& fn) {
-  KernelRow row;
-  row.name = name;
-  IFLS_CHECK_OK(kernels::PinKernelTier(kernels::KernelTier::kScalar));
-  row.scalar_ns = TimeNs(iters, fn);
-  IFLS_CHECK_OK(kernels::PinKernelTier(kernels::BestKernelTier()));
-  row.simd_ns = TimeNs(iters, fn);
-  kernels::ResetKernelTierAuto();
-  row.speedup = row.simd_ns > 0.0 ? row.scalar_ns / row.simd_ns : 0.0;
-  return row;
-}
-
-std::vector<KernelRow> RunKernelMicrobench(const BenchScale& scale) {
-  // Shapes mirror the hot callers: DoorToDoor joins over 24-48 access
-  // doors, leaf compositions over similar fan-outs, candidate-evaluation
-  // gathers over full partition door lists.
-  const int iters = scale.name == "smoke" ? 20000 : 200000;
-  Rng rng(42);
-  constexpr int kPool = 8;  // rotate instances so no single layout is hot
-  std::vector<KernelInstance> pool;
-  for (int i = 0; i < kPool; ++i) pool.push_back(MakeKernelInstance(&rng, 64, 32));
-
-  std::vector<KernelRow> rows;
-  int which = 0;
-  rows.push_back(BenchKernel("join_32x32", iters, [&] {
-    KernelInstance& in = pool[static_cast<std::size_t>(which++ % kPool)];
-    g_sink = g_sink + kernels::MinPlusJoin(
-                          in.a.data(), in.rows.data(), in.rows.size(),
-                          in.b.data(), in.cols.data(), in.cols.size(),
-                          in.matrix.data(), in.stride);
-  }));
-  rows.push_back(BenchKernel("compose_32x32", iters, [&] {
-    KernelInstance& in = pool[static_cast<std::size_t>(which++ % kPool)];
-    kernels::MinPlusCompose(in.a.data(), in.rows.data(), in.rows.size(),
-                            in.cols.data(), in.cols.size(), in.matrix.data(),
-                            in.stride, in.out.data());
-    g_sink = g_sink + in.out[0];
-  }));
-  rows.push_back(BenchKernel("gather_add_32", iters * 8, [&] {
-    KernelInstance& in = pool[static_cast<std::size_t>(which++ % kPool)];
-    g_sink = g_sink + kernels::MinPlusGatherAdd(1.0, in.matrix.data(),
-                                                in.cols.data(), in.b.data(),
-                                                in.cols.size());
-  }));
-  rows.push_back(BenchKernel("pairwise_32", iters * 8, [&] {
-    KernelInstance& in = pool[static_cast<std::size_t>(which++ % kPool)];
-    g_sink = g_sink + kernels::MinPlusPairwise(in.a.data(), in.b.data(),
-                                               in.a.size());
-  }));
-  return rows;
-}
-
-// ---------------------------------------------------------------------------
-// Layer 2: cache microbench — the pre-refactor locked memo vs the sharded
+// Layer 1: cache microbench — the pre-refactor locked memo vs the sharded
 // seqlock cache, identical mixed workload.
 
 /// Faithful reconstruction of the door-distance memo this PR replaced: one
@@ -228,7 +121,7 @@ std::vector<CacheRow> RunCacheMicrobench(const BenchScale& scale) {
 }
 
 // ---------------------------------------------------------------------------
-// Layer 3: end-to-end solver throughput.
+// Layer 2: end-to-end solver throughput.
 
 struct SolverRow {
   std::string objective;
@@ -243,30 +136,12 @@ const char* ConfigName(bool after) { return after ? "after" : "before"; }
 int Main() {
   const BenchScale scale = BenchScale::FromEnv();
   std::printf(
-      "# solver throughput before/after kernels+cache (scale=%s, "
-      "simd=%s, hardware threads=%u)\n\n",
-      scale.name.c_str(), kernels::KernelTierName(kernels::BestKernelTier()),
+      "# solver throughput before/after the door cache (scale=%s, "
+      "kernels=%s, hardware threads=%u)\n\n",
+      scale.name.c_str(), kernels::ActiveKernelName(),
       std::thread::hardware_concurrency());
 
   // --- Layer 1.
-  const std::vector<KernelRow> kernel_rows = RunKernelMicrobench(scale);
-  TextTable ktable({"kernel", "scalar ns/op", "best ns/op", "speedup"});
-  double min_speedup = kernel_rows.empty() ? 0.0 : kernel_rows[0].speedup;
-  double log_sum = 0.0;
-  for (const KernelRow& row : kernel_rows) {
-    ktable.AddRow({row.name, TextTable::Num(row.scalar_ns),
-                   TextTable::Num(row.simd_ns), TextTable::Num(row.speedup)});
-    min_speedup = std::min(min_speedup, row.speedup);
-    log_sum += std::log(row.speedup);
-  }
-  const double geomean_speedup =
-      kernel_rows.empty()
-          ? 0.0
-          : std::exp(log_sum / static_cast<double>(kernel_rows.size()));
-  ktable.Print(&std::cout);
-  std::printf("\n");
-
-  // --- Layer 2.
   const std::vector<CacheRow> cache_rows = RunCacheMicrobench(scale);
   TextTable ctable({"threads", "mutex memo Mops/s", "sharded Mops/s",
                     "sharded/mutex"});
@@ -278,7 +153,7 @@ int Main() {
   ctable.Print(&std::cout);
   std::printf("\n");
 
-  // --- Layer 3.
+  // --- Layer 2.
   VenueCache venue_cache;
   const Venue& venue = venue_cache.venue(VenuePreset::kMelbourneCentral, false);
   const ParameterGrid grid =
@@ -325,12 +200,10 @@ int Main() {
     }
 
     // Warm the after-tree's cache once (steady-state serving is the target
-    // of the cache; the cold fill is measured implicitly by layer 2).
+    // of the cache; the cold fill is measured implicitly by layer 1).
     {
       BatchQueryEngine warm{BatchEngineOptions{}};
-      IFLS_CHECK_OK(kernels::PinKernelTier(kernels::BestKernelTier()));
       (void)warm.RunSequential(after_batch);
-      kernels::ResetKernelTierAuto();
     }
 
     std::vector<BatchQueryOutcome> reference;  // before-config answers, 1t
@@ -342,12 +215,8 @@ int Main() {
         BatchEngineOptions opts;
         opts.num_threads = threads;
         BatchQueryEngine engine(opts);
-        IFLS_CHECK_OK(kernels::PinKernelTier(after
-                                                 ? kernels::BestKernelTier()
-                                                 : kernels::KernelTier::kScalar));
         const std::vector<BatchQueryOutcome> outcomes =
             engine.Run(after ? after_batch : before_batch);
-        kernels::ResetKernelTierAuto();
         const double qps = engine.last_report().queries_per_second;
         if (after) {
           row.after_qps = qps;
@@ -387,27 +256,10 @@ int Main() {
   const Status written = WriteBenchReport(
       "solver_throughput", [&](JsonWriter& w) {
         w.Field("scale", scale.name);
-        w.Field("simd_available",
-                kernels::BestKernelTier() != kernels::KernelTier::kScalar);
-        w.Field("best_tier",
-                kernels::KernelTierName(kernels::BestKernelTier()));
         w.Field("venue", std::string(
                              VenuePresetName(VenuePreset::kMelbourneCentral)));
-        w.Field("before_config", "scalar kernels, door cache off");
-        w.Field("after_config", "best-tier kernels, sharded door cache");
-        w.Key("kernel_microbench");
-        w.BeginArray();
-        for (const KernelRow& row : kernel_rows) {
-          w.BeginObject();
-          w.Field("kernel", row.name);
-          w.Field("scalar_ns_per_op", row.scalar_ns);
-          w.Field("simd_ns_per_op", row.simd_ns);
-          w.Field("speedup", row.speedup);
-          w.EndObject();
-        }
-        w.EndArray();
-        w.Field("kernel_speedup_min", min_speedup);
-        w.Field("kernel_speedup_geomean", geomean_speedup);
+        w.Field("before_config", "door cache off");
+        w.Field("after_config", "sharded door cache");
         w.Key("cache_microbench");
         w.BeginArray();
         for (const CacheRow& row : cache_rows) {

@@ -76,8 +76,11 @@ int main() {
     for (VenuePreset preset : AllVenuePresets()) {
       const ParameterGrid grid = PresetParameterGrid(preset);
       auto range = [](const std::vector<std::size_t>& v) {
-        return "[" + std::to_string(v.front()) + ", " +
-               std::to_string(v.back()) + "] x" + std::to_string(v.size());
+        std::string out = "[";
+        out += std::to_string(v.front());
+        out += ", " + std::to_string(v.back());
+        out += "] x" + std::to_string(v.size());
+        return out;
       };
       table.AddRow({VenuePresetName(preset), range(grid.existing_sizes),
                     TextTable::Int(static_cast<long long>(

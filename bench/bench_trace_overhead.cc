@@ -434,7 +434,6 @@ int Main() {
   net_service->Stop();
 
   const Status written = WriteBenchReport("trace_overhead", [&](JsonWriter& w) {
-    w.Field("schema_version", 2);
     w.Field("scale", scale.name);
     w.Field("venue",
             std::string(VenuePresetName(VenuePreset::kMelbourneCentral)));

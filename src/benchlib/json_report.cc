@@ -157,24 +157,14 @@ Status WriteBenchReportToFile(const std::string& path, const std::string& name,
   JsonWriter w(&out);
   w.BeginObject();
   w.Field("benchmark", name);
-  w.Field("schema_version", std::int64_t{3});
-  // Attribution envelope (schema v2, tier fields added in v3): which
-  // commit, build flavor and kernel tier produced the numbers, so archived
-  // BENCH_*.json artifacts stay comparable. kernel_dispatch is the tier
-  // active when the report was written ("scalar|sse4|avx2|avx512");
-  // kernel_tiers_compiled lists every backend baked into the binary.
+  w.Field("schema_version", std::int64_t{4});
+  // Attribution envelope (schema v2; v4 dropped the v3 compiled-tier list):
+  // which commit, build flavor and kernel backend produced the numbers, so
+  // archived BENCH_*.json artifacts stay comparable. kernel_dispatch is the
+  // backend dispatch selected ("scalar|avx2|avx512").
   w.Field("git_sha", IFLS_GIT_SHA);
   w.Field("build_type", IFLS_BUILD_TYPE);
   w.Field("kernel_dispatch", kernels::ActiveKernelName());
-  w.Key("kernel_tiers_compiled");
-  w.BeginArray();
-  for (int t = 0; t < kernels::kNumKernelTiers; ++t) {
-    const auto tier = static_cast<kernels::KernelTier>(t);
-    if (kernels::KernelTierCompiled(tier)) {
-      w.Value(kernels::KernelTierName(tier));
-    }
-  }
-  w.EndArray();
   body(w);
   w.EndObject();
   out << '\n';

@@ -70,15 +70,16 @@ class JsonWriter {
 std::string BenchReportPath(const std::string& name);
 
 /// Writes the shared bench-report schema to BenchReportPath(name):
-///   { "benchmark": <name>, "schema_version": 3,
+///   { "benchmark": <name>, "schema_version": 4,
 ///     "git_sha": ..., "build_type": ..., "kernel_dispatch": ...,
-///     "kernel_tiers_compiled": [...], ...body fields... }
+///     ...body fields... }
 /// Schema v2 added the attribution fields (commit, CMAKE_BUILD_TYPE, active
-/// min-plus kernel backend); v3 widened kernel_dispatch to the tier ladder
-/// ("scalar|sse4|avx2|avx512") and added the compiled-tier list. Readers
-/// that ignore unknown fields are unaffected. `body` receives the writer
-/// positioned inside the envelope object and adds its fields via
-/// Field()/Key() + nested containers.
+/// min-plus kernel backend); v3 widened kernel_dispatch to the tier names
+/// and added a compiled-tier list, which v4 dropped again: the backend is
+/// chosen by cpuid alone, so kernel_dispatch ("scalar|avx2|avx512") says
+/// all there is. Readers that ignore unknown fields are unaffected. `body`
+/// receives the writer positioned inside the envelope object and adds its
+/// fields via Field()/Key() + nested containers.
 Status WriteBenchReport(const std::string& name,
                         const std::function<void(JsonWriter&)>& body);
 

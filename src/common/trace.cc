@@ -47,7 +47,7 @@ std::chrono::steady_clock::time_point TraceClockBase() {
   return base;
 }
 
-/// Opt-in tracing from the environment (same idiom as IFLS_KERNELS):
+/// Opt-in tracing from the environment:
 /// IFLS_TRACE=1 records every query, IFLS_TRACE=N samples 1-in-N, unset/0
 /// leaves tracing off. Lets CI rerun existing suites — e.g. the TSan
 /// `parallel` label — with the recorder live, without touching the tests.

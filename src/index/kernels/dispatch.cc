@@ -1,24 +1,14 @@
-// Runtime dispatch for the min-plus kernel tiers: one immutable function
-// table per compiled-in backend (kernel_table.h), an atomic pointer to the
-// active one, and a choose-best ladder keyed on runtime cpuid. Resolution
-// order at first use:
+// Runtime dispatch for the min-plus kernels: one immutable function table
+// per backend (kernel_table.h), chosen once at first use by cpuid —
+// avx512f, else avx2, else the scalar reference. Nothing a user sets can
+// change the choice; every backend is bit-identical to scalar, so the
+// choice only moves time, never an answer.
 //
-//   1. IFLS_KERNELS=scalar|sse4|avx2|avx512 — explicit pin; unknown names
-//      and tiers this build/CPU cannot run are typed errors (logged here,
-//      returned as Status from ApplyKernelEnvOverride / PinKernelTier),
-//      never a silent fallback;
-//   2. otherwise the highest tier that is both compiled in
-//      (IFLS_HAVE_<TIER>, cmake/cpu_features.cmake) and reported by
-//      __builtin_cpu_supports.
-//
-// The selected backend is logged once at startup, published as the
-// ifls_kernel_backend info metric (one series per compiled tier, active
-// tier = 1) and stamped into the trace exporter's metadata block; the bench
-// envelope (src/benchlib/json_report) reads ActiveKernelName() directly.
+// The selected backend is logged once, published as the
+// ifls_kernel_backend info metric and stamped into the trace exporter's
+// metadata block; the bench envelope (src/benchlib/json_report) and the
+// cost ledger read ActiveKernelName() directly.
 
-#include <atomic>
-#include <cstdlib>
-#include <mutex>
 #include <string>
 
 #include "src/common/logging.h"
@@ -29,220 +19,47 @@
 
 namespace ifls {
 namespace kernels {
+
+namespace internal {
+
+std::vector<const KernelTable*> SupportedKernelTables() {
+  std::vector<const KernelTable*> tables = {GetScalarKernelTable()};
+#if defined(__x86_64__)
+  if (__builtin_cpu_supports("avx2")) tables.push_back(GetAvx2KernelTable());
+  if (__builtin_cpu_supports("avx512f")) {
+    tables.push_back(GetAvx512KernelTable());
+  }
+#endif
+  return tables;
+}
+
+}  // namespace internal
+
 namespace {
 
 using internal::KernelTable;
 
-const char* const kTierNames[kNumKernelTiers] = {"scalar", "sse4", "avx2",
-                                                 "avx512"};
-
-/// The tier's table when its translation unit was compiled in, else null.
-const KernelTable* CompiledTable(KernelTier tier) {
-  switch (tier) {
-    case KernelTier::kScalar:
-      return internal::GetScalarKernelTable();
-    case KernelTier::kSse4:
-#if defined(IFLS_HAVE_SSE4)
-      return internal::GetSse4KernelTable();
-#else
-      return nullptr;
-#endif
-    case KernelTier::kAvx2:
-#if defined(IFLS_HAVE_AVX2)
-      return internal::GetAvx2KernelTable();
-#else
-      return nullptr;
-#endif
-    case KernelTier::kAvx512:
-#if defined(IFLS_HAVE_AVX512F)
-      return internal::GetAvx512KernelTable();
-#else
-      return nullptr;
-#endif
-  }
-  return nullptr;
+/// The one-time choice: the widest table this CPU runs, published where
+/// the backend is surfaced.
+const KernelTable& SelectTable() {
+  const KernelTable* best = internal::SupportedKernelTables().back();
+  MetricsRegistry::Global()
+      .GetGauge("ifls_kernel_backend",
+                std::string("tier=\"") + best->name + "\"")
+      ->Set(1.0);
+  TraceRecorder::Global().SetMetadata("kernel_backend", best->name);
+  IFLS_LOG(INFO) << "min-plus kernel dispatch: tier=" << best->name;
+  return *best;
 }
 
-bool CpuReportsTier(KernelTier tier) {
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-  switch (tier) {
-    case KernelTier::kScalar:
-      return true;
-    case KernelTier::kSse4:
-      return __builtin_cpu_supports("sse4.2") != 0;
-    case KernelTier::kAvx2:
-      return __builtin_cpu_supports("avx2") != 0;
-    case KernelTier::kAvx512:
-      return __builtin_cpu_supports("avx512f") != 0;
-  }
-  return false;
-#else
-  return tier == KernelTier::kScalar;
-#endif
-}
-
-/// Comma-joined names of the compiled-in tiers, for the startup log line.
-std::string CompiledTierList() {
-  std::string out;
-  for (int t = 0; t < kNumKernelTiers; ++t) {
-    if (CompiledTable(static_cast<KernelTier>(t)) == nullptr) continue;
-    if (!out.empty()) out += ",";
-    out += kTierNames[t];
-  }
-  return out;
-}
-
-std::atomic<const KernelTable*>& ActiveTableSlot() {
-  static std::atomic<const KernelTable*> slot{nullptr};
-  return slot;
-}
-
-/// Swaps the active table and re-publishes the backend everywhere it is
-/// surfaced: the ifls_kernel_backend info metric (every compiled tier gets
-/// a series; exactly the active one reads 1) and the trace exporter's
-/// metadata block, so Chrome traces and Prometheus scrapes both say which
-/// backend produced the work they describe.
-void InstallTable(const KernelTable* table) {
-  ActiveTableSlot().store(table, std::memory_order_release);
-  MetricsRegistry& registry = MetricsRegistry::Global();
-  for (int t = 0; t < kNumKernelTiers; ++t) {
-    const KernelTier tier = static_cast<KernelTier>(t);
-    if (CompiledTable(tier) == nullptr) continue;
-    registry
-        .GetGauge("ifls_kernel_backend",
-                  std::string("tier=\"") + kTierNames[t] + "\"")
-        ->Set(tier == table->tier ? 1.0 : 0.0);
-  }
-  TraceRecorder::Global().SetMetadata("kernel_backend", table->name);
-}
-
-/// Env resolution shared by the lazy init and ApplyKernelEnvOverride.
-/// Returns OK with *applied=false when IFLS_KERNELS is unset.
-Status ResolveEnvOverride(bool* applied) {
-  *applied = false;
-  const char* env = std::getenv("IFLS_KERNELS");
-  if (env == nullptr || *env == '\0') return Status::OK();
-  Result<KernelTier> tier = ParseKernelTier(env);
-  if (!tier.ok()) return tier.status();
-  Status pinned = PinKernelTier(*tier);
-  if (!pinned.ok()) {
-    return Status(pinned.code(),
-                  "IFLS_KERNELS=" + std::string(env) + ": " + pinned.message());
-  }
-  *applied = true;
-  return Status::OK();
-}
-
-/// One-time lazy resolution, shared by every public entry point. The
-/// resolved tier is logged exactly once; an invalid IFLS_KERNELS value is
-/// loud (kError log) and auto dispatch proceeds on the best tier so the
-/// process stays serviceable — callers that want the typed error fatal
-/// call ApplyKernelEnvOverride() themselves.
-void EnsureInitialized() {
-  static std::once_flag once;
-  std::call_once(once, [] {
-    bool applied = false;
-    const Status env = ResolveEnvOverride(&applied);
-    if (!env.ok()) {
-      IFLS_LOG(ERROR) << "invalid kernel tier override: " << env.ToString()
-                       << "; falling back to auto dispatch";
-    }
-    if (!applied) InstallTable(CompiledTable(BestKernelTier()));
-    IFLS_LOG(INFO) << "min-plus kernel dispatch: tier="
-                    << ActiveTableSlot().load(std::memory_order_acquire)->name
-                    << (applied ? " (IFLS_KERNELS pin)" : " (auto)")
-                    << ", compiled tiers: " << CompiledTierList();
-  });
-}
-
-const KernelTable& Active() {
-  const KernelTable* table =
-      ActiveTableSlot().load(std::memory_order_acquire);
-  if (table == nullptr) {
-    EnsureInitialized();
-    table = ActiveTableSlot().load(std::memory_order_acquire);
-  }
-  return *table;
+/// Kept small so it inlines into every entry point: after the first call
+/// it is one guard check and one load.
+inline const KernelTable& Active() {
+  static const KernelTable& table = SelectTable();
+  return table;
 }
 
 }  // namespace
-
-const char* KernelTierName(KernelTier tier) {
-  const int t = static_cast<int>(tier);
-  IFLS_CHECK(t >= 0 && t < kNumKernelTiers) << "bad KernelTier " << t;
-  return kTierNames[t];
-}
-
-Result<KernelTier> ParseKernelTier(const std::string& name) {
-  for (int t = 0; t < kNumKernelTiers; ++t) {
-    if (name == kTierNames[t]) return static_cast<KernelTier>(t);
-  }
-  if (name == "avx512f") return KernelTier::kAvx512;
-  if (name == "simd") {
-    // Legacy two-backend pin: the best SIMD tier this machine can run. A
-    // scalar-only build/CPU cannot honor a SIMD request.
-    const KernelTier best = BestKernelTier();
-    if (best == KernelTier::kScalar) {
-      return Status::FailedPrecondition(
-          "kernel tier 'simd' (legacy alias): no SIMD tier is compiled in "
-          "and supported on this CPU");
-    }
-    return best;
-  }
-  return Status::InvalidArgument(
-      "unknown kernel tier '" + name +
-      "' (valid: scalar, sse4, avx2, avx512; legacy alias: simd)");
-}
-
-bool KernelTierCompiled(KernelTier tier) {
-  return CompiledTable(tier) != nullptr;
-}
-
-bool KernelTierSupported(KernelTier tier) {
-  return CompiledTable(tier) != nullptr && CpuReportsTier(tier);
-}
-
-KernelTier BestKernelTier() {
-  for (int t = kNumKernelTiers - 1; t > 0; --t) {
-    const KernelTier tier = static_cast<KernelTier>(t);
-    if (KernelTierSupported(tier)) return tier;
-  }
-  return KernelTier::kScalar;
-}
-
-Status PinKernelTier(KernelTier tier) {
-  const KernelTable* table = CompiledTable(tier);
-  if (table == nullptr) {
-    return Status::FailedPrecondition(
-        "kernel tier '" + std::string(KernelTierName(tier)) +
-        "' is not compiled into this binary (see cmake/cpu_features.cmake; "
-        "compiled tiers: " + CompiledTierList() + ")");
-  }
-  if (!CpuReportsTier(tier)) {
-    return Status::FailedPrecondition(
-        "kernel tier '" + std::string(KernelTierName(tier)) +
-        "' is compiled in but this CPU does not report the feature");
-  }
-  InstallTable(table);
-  return Status::OK();
-}
-
-Status ApplyKernelEnvOverride() {
-  bool applied = false;
-  return ResolveEnvOverride(&applied);
-}
-
-void ResetKernelTierAuto() {
-  bool applied = false;
-  const Status env = ResolveEnvOverride(&applied);
-  if (!env.ok()) {
-    IFLS_LOG(ERROR) << "invalid kernel tier override: " << env.ToString()
-                     << "; using best supported tier";
-  }
-  if (!applied) InstallTable(CompiledTable(BestKernelTier()));
-}
-
-KernelTier ActiveKernelTier() { return Active().tier; }
 
 const char* ActiveKernelName() { return Active().name; }
 

@@ -3,24 +3,21 @@
 
 #include <cstddef>
 #include <cstdint>
-
-#include "src/index/minplus_kernels.h"
+#include <vector>
 
 namespace ifls {
 namespace kernels {
 namespace internal {
 
-/// One immutable function table per ISA tier. Each tier's translation unit
-/// (minplus_<tier>.cc, compiled with that tier's per-file -m<isa> flag)
-/// defines exactly one of the Get*KernelTable() factories below; dispatch.cc
-/// assembles the choose-best ladder from whichever factories the build
-/// compiled in (the IFLS_HAVE_<TIER> guards from cmake/cpu_features.cmake).
+/// One immutable function table per backend. Each backend's translation
+/// unit (minplus_<isa>.cc, compiled with that ISA's per-file -m<isa> flag)
+/// defines exactly one of the Get*KernelTable() factories below;
+/// dispatch.cc picks one of them once, by cpuid.
 ///
 /// Every entry implements the same bit-identity contract as the scalar
 /// reference in minplus_scalar.cc: left-associated sums, min returns an
 /// operand, argmin ties to the lowest index. See minplus_kernels.h.
 struct KernelTable {
-  KernelTier tier;
   const char* name;
   double (*min_plus_join)(const double*, const std::int32_t*, std::size_t,
                           const double*, const std::int32_t*, std::size_t,
@@ -41,15 +38,15 @@ struct KernelTable {
 /// Always present: the portable reference backend.
 const KernelTable* GetScalarKernelTable();
 
-#if defined(IFLS_HAVE_SSE4)
-const KernelTable* GetSse4KernelTable();
-#endif
-#if defined(IFLS_HAVE_AVX2)
+#if defined(__x86_64__)
 const KernelTable* GetAvx2KernelTable();
-#endif
-#if defined(IFLS_HAVE_AVX512F)
 const KernelTable* GetAvx512KernelTable();
 #endif
+
+/// Every table this CPU can run, scalar (the reference) first, then in
+/// ascending lane width. The last entry is the one dispatch selects. Tests
+/// call the tables directly instead of swapping the live one.
+std::vector<const KernelTable*> SupportedKernelTables();
 
 }  // namespace internal
 }  // namespace kernels

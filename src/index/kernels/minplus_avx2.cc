@@ -1,8 +1,13 @@
 // AVX2 backend: 4-lane __m256d blocked reductions, scalar tails. Gathers
 // use vgatherdpd over the int32 index lists exactly as laid out in the
 // arenas. This translation unit is compiled with a per-file -mavx2
-// (cmake/cpu_features.cmake) and only dispatched to when
+// (src/CMakeLists.txt) and only dispatched to when
 // __builtin_cpu_supports("avx2") holds.
+//
+// Gathers use the masked form with an explicit zero source and an all-ones
+// mask: the unmasked _mm256_i32gather_pd passes an undefined pass-through
+// operand that g++ -O3 -Wall reports as maybe-uninitialized. Every lane is
+// loaded either way, so the result is the same.
 //
 // Bit-identity: every candidate is the same left-associated IEEE sum as the
 // scalar reference, _mm256_min_pd returns one of its operands, and the
@@ -23,10 +28,17 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// Below one 4-lane block the vector main loops do no work and the
-/// broadcast/horizontal-fold overhead makes this tier slower than the
+/// broadcast/horizontal-fold overhead makes this backend slower than the
 /// reference, so such calls defer to the scalar table (bit-identical by
 /// construction — it IS the reference).
 inline const KernelTable& Scalar() { return *GetScalarKernelTable(); }
+
+/// row[vidx[l]] for the 4 lanes.
+inline __m256d Gather(const double* row, __m128i vidx) {
+  const __m256d all_lanes = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+  return _mm256_mask_i32gather_pd(_mm256_setzero_pd(), row, vidx, all_lanes,
+                                  8);
+}
 
 /// min over the 4 lanes, folded against `tail` (value-exact: every operand
 /// is one of the candidate sums, so picking between equals is bit-neutral).
@@ -54,7 +66,7 @@ double MinPlusJoin(const double* a, const std::int32_t* rows, std::size_t nr,
     for (std::size_t j = 0; j < nc4; j += 4) {
       const __m128i vidx =
           _mm_loadu_si128(reinterpret_cast<const __m128i*>(cols + j));
-      const __m256d g = _mm256_i32gather_pd(row, vidx, 8);
+      const __m256d g = Gather(row, vidx);
       const __m256d vb = _mm256_loadu_pd(b + j);
       const __m256d cand = _mm256_add_pd(_mm256_add_pd(va, g), vb);
       acc = _mm256_min_pd(acc, cand);
@@ -78,7 +90,7 @@ void MinPlusCompose(const double* a, const std::int32_t* rows, std::size_t nr,
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(cols + j));
     for (std::size_t i = 0; i < nr; ++i) {
       const double* row = m + static_cast<std::size_t>(rows[i]) * stride;
-      const __m256d g = _mm256_i32gather_pd(row, vidx, 8);
+      const __m256d g = Gather(row, vidx);
       const __m256d cand = _mm256_add_pd(_mm256_set1_pd(a[i]), g);
       acc = _mm256_min_pd(acc, cand);
     }
@@ -104,7 +116,7 @@ double MinPlusGather(double s, const double* row, const std::int32_t* idx,
   for (std::size_t j = 0; j < n4; j += 4) {
     const __m128i vidx =
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx + j));
-    const __m256d g = _mm256_i32gather_pd(row, vidx, 8);
+    const __m256d g = Gather(row, vidx);
     acc = _mm256_min_pd(acc, _mm256_add_pd(vs, g));
   }
   double tail_best = kInf;
@@ -124,7 +136,7 @@ double MinPlusGatherAdd(double s, const double* row, const std::int32_t* idx,
   for (std::size_t j = 0; j < n4; j += 4) {
     const __m128i vidx =
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx + j));
-    const __m256d g = _mm256_i32gather_pd(row, vidx, 8);
+    const __m256d g = Gather(row, vidx);
     const __m256d vb = _mm256_loadu_pd(b + j);
     acc = _mm256_min_pd(acc, _mm256_add_pd(_mm256_add_pd(vs, g), vb));
   }
@@ -184,15 +196,14 @@ void GatherCells(const double* row, const std::int32_t* idx, std::size_t n,
   for (std::size_t i = 0; i < n4; i += 4) {
     const __m128i vidx =
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx + i));
-    _mm256_storeu_pd(out + i, _mm256_i32gather_pd(row, vidx, 8));
+    _mm256_storeu_pd(out + i, Gather(row, vidx));
   }
   for (std::size_t i = n4; i < n; ++i) out[i] = row[idx[i]];
 }
 
 constexpr KernelTable kTable = {
-    KernelTier::kAvx2, "avx2",           MinPlusJoin, MinPlusCompose,
-    MinPlusGather,     MinPlusGatherAdd, MinPlusPairwise,
-    MinPlusArgmin,     GatherCells,
+    "avx2",          MinPlusJoin,   MinPlusCompose, MinPlusGather,
+    MinPlusGatherAdd, MinPlusPairwise, MinPlusArgmin, GatherCells,
 };
 
 }  // namespace

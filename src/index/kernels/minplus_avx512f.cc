@@ -1,13 +1,19 @@
 // AVX-512F backend: 8-lane __m512d blocked reductions, scalar tails.
 // Gathers use vgatherdpd (zmm form) over the int32 index lists exactly as
 // laid out in the arenas; only the F foundation subset is required, so the
-// tier lights up on every AVX-512 part from Skylake-SP onward. This
+// backend runs on every AVX-512 part from Skylake-SP onward. This
 // translation unit is compiled with a per-file -mavx512f
-// (cmake/cpu_features.cmake) and only dispatched to when
+// (src/CMakeLists.txt) and only dispatched to when
 // __builtin_cpu_supports("avx512f") holds.
 //
+// Gathers and mins use the masked forms with an explicit zero source and
+// an all-lanes mask: the unmasked _mm512_i32gather_pd and _mm512_min_pd
+// pass an undefined pass-through operand that g++ -O3 -Wall reports as
+// maybe-uninitialized. Every lane is computed either way, so the result is
+// the same.
+//
 // Bit-identity: every candidate is the same left-associated IEEE sum as the
-// scalar reference, _mm512_min_pd returns one of its operands, and the
+// scalar reference, vminpd returns one of its operands, and the
 // horizontal fold compares with `<` exactly like the reference loop, so no
 // reduction-order choice can change a bit (tests/minplus_kernels_test.cc).
 
@@ -25,7 +31,7 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// Below one 8-lane block the vector main loops do no work and the
-/// broadcast/horizontal-fold overhead makes this tier slower than the
+/// broadcast/horizontal-fold overhead makes this backend slower than the
 /// reference, so such calls defer to the scalar table (bit-identical by
 /// construction — it IS the reference).
 inline const KernelTable& Scalar() { return *GetScalarKernelTable(); }
@@ -46,6 +52,16 @@ inline __m256i LoadIdx8(const std::int32_t* idx) {
   return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx));
 }
 
+/// row[vidx[l]] for the 8 lanes.
+inline __m512d Gather(const double* row, __m256i vidx) {
+  return _mm512_mask_i32gather_pd(_mm512_setzero_pd(), 0xFF, vidx, row, 8);
+}
+
+/// Lane-wise min; returns one of its operands per lane like vminpd.
+inline __m512d Min(__m512d a, __m512d b) {
+  return _mm512_maskz_min_pd(0xFF, a, b);
+}
+
 double MinPlusJoin(const double* a, const std::int32_t* rows, std::size_t nr,
                    const double* b, const std::int32_t* cols, std::size_t nc,
                    const double* m, std::size_t stride) {
@@ -58,10 +74,10 @@ double MinPlusJoin(const double* a, const std::int32_t* rows, std::size_t nr,
     const double* row = m + static_cast<std::size_t>(rows[i]) * stride;
     const __m512d va = _mm512_set1_pd(ai);
     for (std::size_t j = 0; j < nc8; j += 8) {
-      const __m512d g = _mm512_i32gather_pd(LoadIdx8(cols + j), row, 8);
+      const __m512d g = Gather(row, LoadIdx8(cols + j));
       const __m512d vb = _mm512_loadu_pd(b + j);
       const __m512d cand = _mm512_add_pd(_mm512_add_pd(va, g), vb);
-      acc = _mm512_min_pd(acc, cand);
+      acc = Min(acc, cand);
     }
     for (std::size_t j = nc8; j < nc; ++j) {
       const double cand = (ai + row[cols[j]]) + b[j];
@@ -81,9 +97,9 @@ void MinPlusCompose(const double* a, const std::int32_t* rows, std::size_t nr,
     const __m256i vidx = LoadIdx8(cols + j);
     for (std::size_t i = 0; i < nr; ++i) {
       const double* row = m + static_cast<std::size_t>(rows[i]) * stride;
-      const __m512d g = _mm512_i32gather_pd(vidx, row, 8);
+      const __m512d g = Gather(row, vidx);
       const __m512d cand = _mm512_add_pd(_mm512_set1_pd(a[i]), g);
-      acc = _mm512_min_pd(acc, cand);
+      acc = Min(acc, cand);
     }
     _mm512_storeu_pd(out + j, acc);
   }
@@ -105,8 +121,8 @@ double MinPlusGather(double s, const double* row, const std::int32_t* idx,
   const __m512d vs = _mm512_set1_pd(s);
   const std::size_t n8 = n & ~std::size_t{7};
   for (std::size_t j = 0; j < n8; j += 8) {
-    const __m512d g = _mm512_i32gather_pd(LoadIdx8(idx + j), row, 8);
-    acc = _mm512_min_pd(acc, _mm512_add_pd(vs, g));
+    const __m512d g = Gather(row, LoadIdx8(idx + j));
+    acc = Min(acc, _mm512_add_pd(vs, g));
   }
   double tail_best = kInf;
   for (std::size_t j = n8; j < n; ++j) {
@@ -123,9 +139,9 @@ double MinPlusGatherAdd(double s, const double* row, const std::int32_t* idx,
   const __m512d vs = _mm512_set1_pd(s);
   const std::size_t n8 = n & ~std::size_t{7};
   for (std::size_t j = 0; j < n8; j += 8) {
-    const __m512d g = _mm512_i32gather_pd(LoadIdx8(idx + j), row, 8);
+    const __m512d g = Gather(row, LoadIdx8(idx + j));
     const __m512d vb = _mm512_loadu_pd(b + j);
-    acc = _mm512_min_pd(acc, _mm512_add_pd(_mm512_add_pd(vs, g), vb));
+    acc = Min(acc, _mm512_add_pd(_mm512_add_pd(vs, g), vb));
   }
   double tail_best = kInf;
   for (std::size_t j = n8; j < n; ++j) {
@@ -142,7 +158,7 @@ double MinPlusPairwise(const double* a, const double* b, std::size_t n) {
   for (std::size_t k = 0; k < n8; k += 8) {
     const __m512d cand =
         _mm512_add_pd(_mm512_loadu_pd(a + k), _mm512_loadu_pd(b + k));
-    acc = _mm512_min_pd(acc, cand);
+    acc = Min(acc, cand);
   }
   double tail_best = kInf;
   for (std::size_t k = n8; k < n; ++k) {
@@ -160,7 +176,7 @@ std::size_t MinPlusArgmin(double s, const double* row, std::size_t n) {
   const __m512d vs = _mm512_set1_pd(s);
   const std::size_t n8 = n & ~std::size_t{7};
   for (std::size_t k = 0; k < n8; k += 8) {
-    acc = _mm512_min_pd(acc, _mm512_add_pd(vs, _mm512_loadu_pd(row + k)));
+    acc = Min(acc, _mm512_add_pd(vs, _mm512_loadu_pd(row + k)));
   }
   double best = kInf;
   for (std::size_t k = n8; k < n; ++k) {
@@ -181,15 +197,14 @@ void GatherCells(const double* row, const std::int32_t* idx, std::size_t n,
   if (n < 8) return Scalar().gather_cells(row, idx, n, out);
   const std::size_t n8 = n & ~std::size_t{7};
   for (std::size_t i = 0; i < n8; i += 8) {
-    _mm512_storeu_pd(out + i, _mm512_i32gather_pd(LoadIdx8(idx + i), row, 8));
+    _mm512_storeu_pd(out + i, Gather(row, LoadIdx8(idx + i)));
   }
   for (std::size_t i = n8; i < n; ++i) out[i] = row[idx[i]];
 }
 
 constexpr KernelTable kTable = {
-    KernelTier::kAvx512, "avx512",         MinPlusJoin, MinPlusCompose,
-    MinPlusGather,       MinPlusGatherAdd, MinPlusPairwise,
-    MinPlusArgmin,       GatherCells,
+    "avx512",        MinPlusJoin,   MinPlusCompose, MinPlusGather,
+    MinPlusGatherAdd, MinPlusPairwise, MinPlusArgmin, GatherCells,
 };
 
 }  // namespace

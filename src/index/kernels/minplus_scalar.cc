@@ -1,5 +1,5 @@
 // Portable scalar reference backend. These loops ARE the specification:
-// every SIMD tier must reproduce them bit for bit (same left-associated
+// every SIMD backend must reproduce them bit for bit (same left-associated
 // sums, min picks an operand, argmin ties to the lowest index). Compiled
 // with the project's baseline flags — no ISA extensions — so this table is
 // runnable on any CPU the binary loads on.
@@ -92,9 +92,8 @@ void GatherCells(const double* row, const std::int32_t* idx, std::size_t n,
 }
 
 constexpr KernelTable kTable = {
-    KernelTier::kScalar, "scalar",       MinPlusJoin, MinPlusCompose,
-    MinPlusGather,       MinPlusGatherAdd, MinPlusPairwise,
-    MinPlusArgmin,       GatherCells,
+    "scalar",        MinPlusJoin,   MinPlusCompose, MinPlusGather,
+    MinPlusGatherAdd, MinPlusPairwise, MinPlusArgmin, GatherCells,
 };
 
 }  // namespace

@@ -3,9 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
-
-#include "src/common/status.h"
 
 namespace ifls {
 namespace kernels {
@@ -14,89 +11,33 @@ namespace kernels {
 /// door matrices: min_k (src[k] + M[k][j] + dst[j]) and friends, executed
 /// millions of times per workload directly on the arena-resident matrix
 /// spans. This family implements those reductions as blocked, contiguous
-/// kernels over a ladder of ISA tiers, one translation unit per tier
+/// kernels with three backends, one translation unit each
 /// (src/index/kernels/):
 ///
-///  * scalar    — portable reference, always compiled, always available;
-///  * sse4      — 2-lane __m128d blocks (-msse4.2), for older serving
-///                hardware without AVX;
+///  * scalar    — portable reference, always compiled, the only backend
+///                off x86-64;
 ///  * avx2      — 4-lane __m256d blocks with vgatherdpd (-mavx2);
 ///  * avx512    — 8-lane __m512d blocks (-mavx512f).
 ///
-/// cmake/cpu_features.cmake probes the compiler per tier and compiles each
-/// backend's translation unit with its own per-file ISA flag (no global
-/// -m<isa>; the rest of the binary keeps the baseline ISA and still runs
-/// anywhere). At startup a choose-best table keyed on runtime cpuid
-/// (__builtin_cpu_supports) selects the highest compiled-in tier this CPU
-/// reports; IFLS_KERNELS=scalar|sse4|avx2|avx512 pins any tier, and naming
-/// an unknown or unavailable tier is a typed error, never a silent
-/// fallback.
+/// On x86-64 both SIMD translation units are compiled with their own
+/// per-file ISA flag (no global -m<isa>; the rest of the binary keeps the
+/// baseline ISA and still runs anywhere). At first use one cpuid check
+/// (__builtin_cpu_supports) picks avx512, else avx2, else scalar, for the
+/// life of the process. There is no knob: every backend is bit-identical.
 ///
-/// Bit-identity contract: every tier produces bit-identical doubles. The
+/// Bit-identity contract: every backend produces bit-identical doubles. The
 /// candidate terms are the exact same IEEE expressions — left-associated
 /// sums like (a[i] + m) + b[j], no FMA contraction, no reassociation — and
 /// the reduction operator `min` always returns one of its operands, so the
-/// reduction order (scalar loop vs 2/4/8-lane tree) cannot change a single
+/// reduction order (scalar loop vs 4/8-lane tree) cannot change a single
 /// bit. Argmin kernels additionally pin the tie-break: lowest index
 /// attaining the minimal sum wins, matching the reference `cand < best`
-/// loops. tests/minplus_kernels_test.cc locks both properties in across
-/// the full tier product under ASan.
+/// loops. tests/minplus_kernels_test.cc checks both properties for every
+/// backend the running CPU supports.
 
-/// The ISA ladder, ordered: a higher tier is never slower to select. Values
-/// are dense and stable (bench reports and the tier-product tests iterate
-/// [0, kNumKernelTiers)).
-enum class KernelTier : int {
-  kScalar = 0,
-  kSse4 = 1,
-  kAvx2 = 2,
-  kAvx512 = 3,
-};
-inline constexpr int kNumKernelTiers = 4;
-
-/// Stable lower-case tier name: "scalar", "sse4", "avx2", "avx512". These
-/// are exactly the IFLS_KERNELS values, the ifls_kernel_backend metric
-/// labels and the bench-report kernel_dispatch strings.
-const char* KernelTierName(KernelTier tier);
-
-/// Parses a tier name ("avx512f" is accepted as an alias for "avx512", and
-/// the legacy "simd" pin from the two-backend era resolves to the best
-/// supported SIMD tier). Unknown names are kInvalidArgument listing the
-/// valid values.
-Result<KernelTier> ParseKernelTier(const std::string& name);
-
-/// True when the tier's backend is compiled into this binary (its
-/// IFLS_HAVE_<TIER> translation unit was built).
-bool KernelTierCompiled(KernelTier tier);
-
-/// True when the tier is compiled in AND the running CPU reports the
-/// feature. kScalar is always supported.
-bool KernelTierSupported(KernelTier tier);
-
-/// The highest supported tier — what auto-dispatch selects.
-KernelTier BestKernelTier();
-
-/// Pins dispatch to exactly `tier`. kFailedPrecondition when the tier is
-/// not compiled in or the CPU lacks it; on error the active tier is
-/// unchanged. Thread-safe (atomic table swap); in-flight kernel calls
-/// finish on the table they started with.
-Status PinKernelTier(KernelTier tier);
-
-/// Applies the IFLS_KERNELS environment override, if set. Unset: OK, no
-/// change. Set to a valid supported tier: pins it. Set to an unknown name
-/// or an unavailable tier: a typed error and no change. Called by the lazy
-/// dispatch init (which logs any error and falls back to BestKernelTier())
-/// and directly by tools/benches that want the error to be fatal.
-Status ApplyKernelEnvOverride();
-
-/// Restores auto dispatch: the IFLS_KERNELS override when valid, else the
-/// best supported tier (any invalid override is logged once per call).
-/// Tests and benches that pinned a tier call this to hand dispatch back.
-void ResetKernelTierAuto();
-
-/// The tier the dispatch table currently points at.
-KernelTier ActiveKernelTier();
-
-/// KernelTierName(ActiveKernelTier()) — for bench reports and logs.
+/// Name of the backend dispatch selected: "scalar", "avx2" or "avx512".
+/// Bench envelopes, the cost ledger's tier label, the ifls_kernel_backend
+/// metric and trace metadata all carry it.
 const char* ActiveKernelName();
 
 // ---------------------------------------------------------------------------

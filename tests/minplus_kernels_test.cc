@@ -1,16 +1,13 @@
 // Equivalence suite for the min-plus kernels: the scalar reference loops
-// are the specification, and every SIMD tier (sse4 / avx2 / avx512) must
+// are the specification, and every SIMD backend (avx2 / avx512) must
 // reproduce them bit for bit — EXPECT_EQ on doubles throughout, never
-// EXPECT_NEAR. The tier product runs over every tier this binary compiled
-// in AND this CPU supports; compiled-but-unsupported tiers are skipped with
-// a logged reason instead of failing, so the suite is green on SSE4-only
-// serving hardware and on AVX-512 machines alike. CI additionally reruns
-// the whole suite under each supported IFLS_KERNELS pin.
+// EXPECT_NEAR. Each case calls every table this CPU can run directly
+// (internal::SupportedKernelTables), so one run covers every backend the
+// machine supports without touching the live dispatch.
 
 #include "src/index/minplus_kernels.h"
 
 #include <cstdint>
-#include <cstdlib>
 #include <limits>
 #include <string>
 #include <vector>
@@ -18,59 +15,39 @@
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
-#include "src/common/status.h"
+#include "src/index/kernels/kernel_table.h"
 
 namespace ifls {
 namespace kernels {
 namespace {
 
+using internal::KernelTable;
+
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Every tier the running machine can actually execute, scalar first.
-/// Logs (once) each compiled tier the CPU lacks, so a skip is visible in
-/// the test output rather than silent.
-std::vector<KernelTier> SupportedTiers() {
-  static const std::vector<KernelTier> tiers = [] {
-    std::vector<KernelTier> out;
-    for (int t = 0; t < kNumKernelTiers; ++t) {
-      const KernelTier tier = static_cast<KernelTier>(t);
-      if (KernelTierSupported(tier)) {
-        out.push_back(tier);
-      } else if (KernelTierCompiled(tier)) {
-        std::printf("[ SKIP     ] tier %s compiled in but unsupported by "
-                    "this CPU; excluded from the tier product\n",
-                    KernelTierName(tier));
-      }
-    }
-    return out;
-  }();
-  return tiers;
+const std::vector<const KernelTable*>& Tables() {
+  static const std::vector<const KernelTable*> tables =
+      internal::SupportedKernelTables();
+  return tables;
 }
 
-/// Runs `fn` pinned to every supported tier and returns the results in
-/// SupportedTiers() order (scalar — the reference — is always index 0).
+/// Runs `fn(table)` on every supported table and returns the results in
+/// Tables() order (scalar — the reference — is always index 0).
 template <typename Fn>
-auto AllTiers(Fn&& fn) {
-  std::vector<decltype(fn())> results;
-  for (const KernelTier tier : SupportedTiers()) {
-    const Status pinned = PinKernelTier(tier);
-    EXPECT_TRUE(pinned.ok()) << pinned.ToString();
-    if (!pinned.ok()) continue;  // already failed the test above
-    EXPECT_EQ(ActiveKernelTier(), tier);
-    results.push_back(fn());
-  }
-  ResetKernelTierAuto();
+auto AllTables(Fn&& fn) {
+  std::vector<decltype(fn(*Tables()[0]))> results;
+  for (const KernelTable* table : Tables()) results.push_back(fn(*table));
   return results;
 }
 
-/// EXPECT_EQ of every tier's result against the scalar reference (index 0).
+/// EXPECT_EQ of every backend's result against the scalar reference.
 template <typename T>
-void ExpectAllTiersEqual(const std::vector<T>& results,
-                         const std::string& what) {
-  ASSERT_EQ(results.size(), SupportedTiers().size());
+void ExpectAllTablesEqual(const std::vector<T>& results,
+                          const std::string& what) {
+  ASSERT_EQ(results.size(), Tables().size());
   for (std::size_t t = 1; t < results.size(); ++t) {
     EXPECT_EQ(results[0], results[t])
-        << what << ": tier " << KernelTierName(SupportedTiers()[t])
+        << what << ": backend " << Tables()[t]->name
         << " diverged from scalar";
   }
 }
@@ -120,118 +97,28 @@ RandomInstance MakeInstance(Rng& rng, std::size_t matrix_dim, std::size_t nr,
   return inst;
 }
 
-// Sizes straddle every lane-block boundary in the ladder (2 for sse4, 4
-// for avx2, 8 for avx512): empty, tiny, each remainder class mod 8, and a
-// couple of larger shapes.
+// Sizes straddle every lane-block boundary (4 for avx2, 8 for avx512):
+// empty, tiny, each remainder class mod 8, and a couple of larger shapes.
 const std::size_t kSizes[] = {0u, 1u,  2u,  3u,  4u,  5u,  6u, 7u,
                               8u, 9u,  13u, 16u, 17u, 33u, 64u};
 
-TEST(MinPlusKernelsTest, TierLadderIsConsistent) {
-  // scalar is unconditionally compiled and supported.
-  EXPECT_TRUE(KernelTierCompiled(KernelTier::kScalar));
-  EXPECT_TRUE(KernelTierSupported(KernelTier::kScalar));
-  // Support implies compiled; the best tier is supported; auto dispatch
-  // never leaves the active tier unsupported.
-  for (int t = 0; t < kNumKernelTiers; ++t) {
-    const KernelTier tier = static_cast<KernelTier>(t);
-    if (KernelTierSupported(tier)) {
-      EXPECT_TRUE(KernelTierCompiled(tier));
-    }
+TEST(MinPlusKernelsTest, ActiveKernelIsBestTierTheCpuReports) {
+  const char* expected = "scalar";
+  std::size_t num_tables = 1;
+#if defined(__x86_64__)
+  if (__builtin_cpu_supports("avx2")) {
+    expected = "avx2";
+    ++num_tables;
   }
-  EXPECT_TRUE(KernelTierSupported(BestKernelTier()));
-  ResetKernelTierAuto();
-  EXPECT_TRUE(KernelTierSupported(ActiveKernelTier()));
-#if defined(IFLS_HAVE_AVX2) && defined(__x86_64__)
-  // The build compiled the AVX2 backend; on any x86-64 CI runner of this
-  // project AVX2 is present, so the choose-best ladder must reach it.
-  EXPECT_TRUE(KernelTierSupported(KernelTier::kAvx2));
-  EXPECT_GE(static_cast<int>(BestKernelTier()),
-            static_cast<int>(KernelTier::kAvx2));
+  if (__builtin_cpu_supports("avx512f")) {
+    expected = "avx512";
+    ++num_tables;
+  }
 #endif
-}
-
-TEST(MinPlusKernelsTest, PinAndNamesRoundTrip) {
-  for (const KernelTier tier : SupportedTiers()) {
-    ASSERT_TRUE(PinKernelTier(tier).ok());
-    EXPECT_EQ(ActiveKernelTier(), tier);
-    EXPECT_STREQ(ActiveKernelName(), KernelTierName(tier));
-    const Result<KernelTier> parsed = ParseKernelTier(KernelTierName(tier));
-    ASSERT_TRUE(parsed.ok());
-    EXPECT_EQ(*parsed, tier);
-  }
-  // Auto dispatch resolves to the best tier — unless the suite itself runs
-  // under a valid IFLS_KERNELS pin (the CI matrix does exactly that), which
-  // auto mode honors.
-  ResetKernelTierAuto();
-  KernelTier expected = BestKernelTier();
-  if (const char* env = std::getenv("IFLS_KERNELS")) {
-    const Result<KernelTier> pinned = ParseKernelTier(env);
-    if (pinned.ok() && KernelTierSupported(*pinned)) expected = *pinned;
-  }
-  EXPECT_EQ(ActiveKernelTier(), expected);
-}
-
-TEST(MinPlusKernelsTest, ParseRejectsUnknownTierWithTypedStatus) {
-  for (const char* bogus : {"", "avx", "AVX2", "scalar ", "neon", "turbo"}) {
-    const Result<KernelTier> parsed = ParseKernelTier(bogus);
-    ASSERT_FALSE(parsed.ok()) << "'" << bogus << "' unexpectedly parsed";
-    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
-    // The message should name the offender and the valid values.
-    EXPECT_NE(parsed.status().message().find("valid:"), std::string::npos);
-  }
-  // Aliases: avx512f is the cmake/GCC spelling, simd the legacy pin.
-  const Result<KernelTier> f = ParseKernelTier("avx512f");
-  ASSERT_TRUE(f.ok());
-  EXPECT_EQ(*f, KernelTier::kAvx512);
-  const Result<KernelTier> legacy = ParseKernelTier("simd");
-  if (BestKernelTier() != KernelTier::kScalar) {
-    ASSERT_TRUE(legacy.ok());
-    EXPECT_EQ(*legacy, BestKernelTier());
-  } else {
-    EXPECT_EQ(legacy.status().code(), StatusCode::kFailedPrecondition);
-  }
-}
-
-TEST(MinPlusKernelsTest, PinRejectsUnavailableTierAndKeepsDispatch) {
-  ASSERT_TRUE(PinKernelTier(KernelTier::kScalar).ok());
-  for (int t = 0; t < kNumKernelTiers; ++t) {
-    const KernelTier tier = static_cast<KernelTier>(t);
-    if (KernelTierSupported(tier)) continue;
-    const Status pinned = PinKernelTier(tier);
-    EXPECT_EQ(pinned.code(), StatusCode::kFailedPrecondition)
-        << KernelTierName(tier);
-    // A failed pin must not move the active table.
-    EXPECT_EQ(ActiveKernelTier(), KernelTier::kScalar);
-  }
-  ResetKernelTierAuto();
-}
-
-TEST(MinPlusKernelsTest, EnvOverrideAppliesAndRejectsTyped) {
-  // The env override is read by ApplyKernelEnvOverride/ResetKernelTierAuto;
-  // exercise valid, unknown and unset values, restoring the variable after.
-  const char* saved = std::getenv("IFLS_KERNELS");
-  const std::string saved_value = saved ? saved : "";
-
-  ASSERT_EQ(setenv("IFLS_KERNELS", "scalar", 1), 0);
-  EXPECT_TRUE(ApplyKernelEnvOverride().ok());
-  EXPECT_EQ(ActiveKernelTier(), KernelTier::kScalar);
-
-  ASSERT_EQ(setenv("IFLS_KERNELS", "warp9", 1), 0);
-  const Status unknown = ApplyKernelEnvOverride();
-  EXPECT_EQ(unknown.code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(ActiveKernelTier(), KernelTier::kScalar);  // unchanged
-  // ResetKernelTierAuto under a bogus override falls back to best (and
-  // logs; never dispatches to a garbage table).
-  ResetKernelTierAuto();
-  EXPECT_EQ(ActiveKernelTier(), BestKernelTier());
-
-  ASSERT_EQ(unsetenv("IFLS_KERNELS"), 0);
-  EXPECT_TRUE(ApplyKernelEnvOverride().ok());  // unset = no-op, OK
-
-  if (!saved_value.empty()) {
-    ASSERT_EQ(setenv("IFLS_KERNELS", saved_value.c_str(), 1), 0);
-  }
-  ResetKernelTierAuto();
+  EXPECT_STREQ(ActiveKernelName(), expected);
+  ASSERT_EQ(Tables().size(), num_tables);
+  EXPECT_STREQ(Tables().front()->name, "scalar");
+  EXPECT_STREQ(Tables().back()->name, expected);
 }
 
 TEST(MinPlusKernelsTest, JoinBitIdenticalAcrossTiers) {
@@ -241,13 +128,13 @@ TEST(MinPlusKernelsTest, JoinBitIdenticalAcrossTiers) {
       for (int trial = 0; trial < 4; ++trial) {
         const RandomInstance in =
             MakeInstance(rng, 64, nr, nc, /*quantized=*/trial % 2 == 1);
-        const auto results = AllTiers([&] {
-          return MinPlusJoin(in.a.data(), in.row_idx.data(), nr, in.b.data(),
-                             in.col_idx.data(), nc, in.matrix.data(),
-                             in.stride);
+        const auto results = AllTables([&](const KernelTable& k) {
+          return k.min_plus_join(in.a.data(), in.row_idx.data(), nr,
+                                 in.b.data(), in.col_idx.data(), nc,
+                                 in.matrix.data(), in.stride);
         });
-        ExpectAllTiersEqual(results, "join nr=" + std::to_string(nr) +
-                                         " nc=" + std::to_string(nc));
+        ExpectAllTablesEqual(results, "join nr=" + std::to_string(nr) +
+                                          " nc=" + std::to_string(nc));
         if (nr == 0 || nc == 0) {
           EXPECT_EQ(results[0], kInf);
         }
@@ -261,14 +148,15 @@ TEST(MinPlusKernelsTest, ComposeBitIdenticalAcrossTiers) {
   for (const std::size_t nr : {0u, 1u, 4u, 9u}) {
     for (const std::size_t nc : kSizes) {
       const RandomInstance in = MakeInstance(rng, 48, nr, nc);
-      const auto results = AllTiers([&] {
+      const auto results = AllTables([&](const KernelTable& k) {
         std::vector<double> out(nc, -1.0);
-        MinPlusCompose(in.a.data(), in.row_idx.data(), nr, in.col_idx.data(),
-                       nc, in.matrix.data(), in.stride, out.data());
+        k.min_plus_compose(in.a.data(), in.row_idx.data(), nr,
+                           in.col_idx.data(), nc, in.matrix.data(), in.stride,
+                           out.data());
         return out;
       });
-      ExpectAllTiersEqual(results, "compose nr=" + std::to_string(nr) +
-                                       " nc=" + std::to_string(nc));
+      ExpectAllTablesEqual(results, "compose nr=" + std::to_string(nr) +
+                                        " nc=" + std::to_string(nc));
       if (nr == 0) {
         for (const double v : results[0]) EXPECT_EQ(v, kInf);
       }
@@ -285,18 +173,19 @@ TEST(MinPlusKernelsTest, GatherFamilyBitIdenticalAcrossTiers) {
       const double s0 = rng.NextUniform(0.0, 100.0);
       const double* row = in.matrix.data();  // any row works
       const std::string suffix = " n=" + std::to_string(n);
-      ExpectAllTiersEqual(
-          AllTiers([&] { return MinPlusGather(s0, row, in.col_idx.data(), n); }),
-          "gather" + suffix);
-      ExpectAllTiersEqual(AllTiers([&] {
-        return MinPlusGatherAdd(s0, row, in.col_idx.data(), in.b.data(), n);
+      ExpectAllTablesEqual(AllTables([&](const KernelTable& k) {
+        return k.min_plus_gather(s0, row, in.col_idx.data(), n);
+      }), "gather" + suffix);
+      ExpectAllTablesEqual(AllTables([&](const KernelTable& k) {
+        return k.min_plus_gather_add(s0, row, in.col_idx.data(), in.b.data(),
+                                     n);
       }), "gather_add" + suffix);
-      ExpectAllTiersEqual(AllTiers([&] {
-        return MinPlusPairwise(in.a.data(), in.b.data(), n);
+      ExpectAllTablesEqual(AllTables([&](const KernelTable& k) {
+        return k.min_plus_pairwise(in.a.data(), in.b.data(), n);
       }), "pairwise" + suffix);
-      ExpectAllTiersEqual(AllTiers([&] {
+      ExpectAllTablesEqual(AllTables([&](const KernelTable& k) {
         std::vector<double> out(n, -1.0);
-        GatherCells(row, in.col_idx.data(), n, out.data());
+        k.gather_cells(row, in.col_idx.data(), n, out.data());
         return out;
       }), "gather_cells" + suffix);
     }
@@ -313,9 +202,10 @@ TEST(MinPlusKernelsTest, ArgminBitIdenticalAndLowestIndexTieBreak) {
         v = static_cast<double>(rng.NextInt(0, 8)) * 0.5;
       }
       const double s0 = rng.NextUniform(0.0, 4.0);
-      const auto results =
-          AllTiers([&] { return MinPlusArgmin(s0, row.data(), n); });
-      ExpectAllTiersEqual(results, "argmin n=" + std::to_string(n));
+      const auto results = AllTables([&](const KernelTable& k) {
+        return k.min_plus_argmin(s0, row.data(), n);
+      });
+      ExpectAllTablesEqual(results, "argmin n=" + std::to_string(n));
       // Lowest-index contract, checked against a fresh scan.
       double best = kInf;
       std::size_t best_k = 0;
@@ -332,8 +222,9 @@ TEST(MinPlusKernelsTest, ArgminBitIdenticalAndLowestIndexTieBreak) {
 
 TEST(MinPlusKernelsTest, ArgminAllInfinityReturnsIndexZero) {
   std::vector<double> row(11, kInf);
-  const auto results =
-      AllTiers([&] { return MinPlusArgmin(3.0, row.data(), row.size()); });
+  const auto results = AllTables([&](const KernelTable& k) {
+    return k.min_plus_argmin(3.0, row.data(), row.size());
+  });
   for (const std::size_t k : results) EXPECT_EQ(k, 0u);
 }
 
@@ -345,12 +236,16 @@ TEST(MinPlusKernelsTest, InfinityRowsNeverBeatFiniteCandidates) {
   const std::vector<std::int32_t> rows = {0, 1};
   const std::vector<std::int32_t> cols = {0, 1};
   const std::vector<double> m = {0.5, kInf, 1.5, 2.5};  // 2x2, stride 2
-  const auto results = AllTiers([&] {
-    return MinPlusJoin(a.data(), rows.data(), 2, b.data(), cols.data(), 2,
-                       m.data(), 2);
+  const auto results = AllTables([&](const KernelTable& k) {
+    return k.min_plus_join(a.data(), rows.data(), 2, b.data(), cols.data(), 2,
+                           m.data(), 2);
   });
-  ExpectAllTiersEqual(results, "inf-join");
+  ExpectAllTablesEqual(results, "inf-join");
   EXPECT_EQ(results[0], (2.0 + 1.5) + 1.0);
+  // The public entry point runs the dispatched table and agrees.
+  EXPECT_EQ(MinPlusJoin(a.data(), rows.data(), 2, b.data(), cols.data(), 2,
+                        m.data(), 2),
+            results[0]);
 }
 
 }  // namespace

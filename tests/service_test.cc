@@ -317,7 +317,9 @@ TEST(IflsServiceTest, MutationIsVisibleToNextQuery) {
   const ServiceReply reply = s.service->Query(std::move(req));
   ASSERT_TRUE(reply.status.ok()) << reply.status.ToString();
   EXPECT_EQ(reply.overlay_size, s.candidates.size() - 1);
-  if (reply.result.found) EXPECT_EQ(reply.result.answer, survivor);
+  if (reply.result.found) {
+    EXPECT_EQ(reply.result.answer, survivor);
+  }
 
   const ServiceMetrics m = s.service->Metrics();
   EXPECT_EQ(m.mutations_applied, s.candidates.size() - 1);

@@ -100,7 +100,6 @@
 #include "src/datasets/venue_generator.h"
 #include "src/datasets/workload.h"
 #include "src/index/graph_oracle.h"
-#include "src/index/minplus_kernels.h"
 #include "src/index/vip_tree.h"
 #include "src/io/svg_export.h"
 #include "src/io/venue_io.h"
@@ -1037,46 +1036,17 @@ int BenchNet(const Args& args) {
   return 0;
 }
 
-// `ifls_cli kernels` prints the ISA tier ladder (compiled / CPU-supported /
-// active per tier). With --supports=TIER it is silent and answers via exit
-// code (0 = this binary can pin TIER here, 1 = it cannot, 2 = unknown name),
-// which is what the CI matrix uses to skip pins a runner cannot execute.
-int Kernels(const Args& args) {
-  if (const auto query = args.Get("supports")) {
-    const Result<kernels::KernelTier> tier = kernels::ParseKernelTier(*query);
-    if (!tier.ok()) {
-      std::fprintf(stderr, "%s\n", tier.status().ToString().c_str());
-      return 2;
-    }
-    return kernels::KernelTierSupported(*tier) ? 0 : 1;
-  }
-  const kernels::KernelTier active = kernels::ActiveKernelTier();
-  std::printf("%-8s %-9s %-10s %s\n", "tier", "compiled", "supported",
-              "active");
-  for (int t = 0; t < kernels::kNumKernelTiers; ++t) {
-    const auto tier = static_cast<kernels::KernelTier>(t);
-    std::printf("%-8s %-9s %-10s %s\n", kernels::KernelTierName(tier),
-                kernels::KernelTierCompiled(tier) ? "yes" : "no",
-                kernels::KernelTierSupported(tier) ? "yes" : "no",
-                tier == active ? "*" : "");
-  }
-  std::printf("best tier: %s\n",
-              kernels::KernelTierName(kernels::BestKernelTier()));
-  return 0;
-}
-
 int Run(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
                  "usage: %s gen-venue|gen-workload|solve|info|render|trace|"
-                 "subscribe|fleet|serve|bench-net|kernels [--flags]\n",
+                 "subscribe|fleet|serve|bench-net [--flags]\n",
                  argv[0]);
     return 1;
   }
   const std::string command = argv[1];
   Args args(argc, argv, 2);
   if (!args.ok()) return 1;
-  if (command == "kernels") return Kernels(args);
   if (command == "gen-venue") return GenVenue(args);
   if (command == "gen-workload") return GenWorkload(args);
   if (command == "solve") return Solve(args);
